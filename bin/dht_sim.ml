@@ -1165,8 +1165,24 @@ let range_cmd =
       (List.length (Runtime.heat_rows rt))
       read_heat;
     Printf.printf "completed ranges: %d\n" (Runtime.completed_ranges rt);
+    (* Store cost of the legs: a leg reads only the buckets overlapping
+       its interval, so beyond the cells it returns it examines at most
+       the strays of its boundary buckets. A leg that swept the whole
+       store would examine every cell its replica holds. *)
+    let rs = Runtime.range_stats rt in
+    let per_leg n = float_of_int n /. float_of_int (max 1 rs.Runtime.rs_legs) in
+    let bound = (2 * rs.Runtime.rs_returned) + rs.Runtime.rs_buckets in
+    let scan_ok = rs.Runtime.rs_examined <= bound in
+    Printf.printf
+      "leg scans: %d; returned per leg %.1f, examined per leg %.1f, buckets \
+       per leg %.1f; examined %d vs bound 2 x returned + buckets = %d: %s\n"
+      rs.Runtime.rs_legs (per_leg rs.Runtime.rs_returned)
+      (per_leg rs.Runtime.rs_examined) (per_leg rs.Runtime.rs_buckets)
+      rs.Runtime.rs_examined bound
+      (if scan_ok then "ok" else "EXCEEDED");
     finish_telemetry tel;
-    if !failures > 0 || Runtime.completed_ranges rt <> queries then exit 1
+    if !failures > 0 || Runtime.completed_ranges rt <> queries || not scan_ok
+    then exit 1
   in
   let snodes =
     Arg.(value & opt int 5 & info [ "snodes" ] ~docv:"S"
@@ -1191,7 +1207,9 @@ let range_cmd =
          "Quorum range-read smoke: write a keyset, issue random [lo, hi) \
           range reads and verify each against the hash placement oracle — \
           complete, duplicate-free, authoritative values — reporting wire \
-          cost and per-partition heat. Exits non-zero on any mismatch.")
+          cost, per-partition heat and the store cells each leg examined. \
+          Exits non-zero on any mismatch, or when the legs examined more \
+          than 2 x the cells they returned plus the buckets they visited.")
     term
 
 let explore_cmd =

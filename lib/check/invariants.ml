@@ -206,6 +206,7 @@ let check_view ~space ~pmin ~vmax (v : Runtime.View.t) =
 let check_runtime rt =
   check_view ~space:(Runtime.space rt) ~pmin:(Runtime.pmin rt)
     ~vmax:(Runtime.vmax rt) (Runtime.view rt)
+  @ List.map (fun detail -> { inv = "STORE"; detail }) (Runtime.store_audit rt)
 
 (* Overload discipline: the degradation layer's queue accounting must
    never drift — every bounded window holds at most [max_inflight] live

@@ -56,7 +56,8 @@ val check_view :
 
 val check_runtime : Runtime.t -> finding list
 (** {!check_view} over [Runtime.view rt] with the runtime's own
-    parameters. *)
+    parameters, plus {!Runtime.store_audit} (findings tagged [STORE]):
+    the store tables' structure and cached hash points. *)
 
 val check_overload : Runtime.t -> finding list
 (** Queue-discipline audit of the graceful-degradation layer

@@ -29,17 +29,16 @@ let log_src = Logs.Src.create "dht.snode" ~doc:"Distributed snode runtime"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* One mutable slot per stored key: an LWW update lands with a single
-   table probe (find, then overwrite in place) instead of the
-   find-then-replace double hash. Slots are per-table; the immutable cell
-   inside may be shared across snodes, the slot never is. *)
-type slot = { mutable cell : Versioned.cell }
-
+(* Store tables are point-ordered ([Cells]): each slot caches its key's
+   hash point, so span and range work reads only its own interval. An LWW
+   update lands with a single probe (find, then overwrite the slot's cell
+   in place). Slots are per-table; the immutable cell inside may be shared
+   across snodes, the slot never is. *)
 type vnode_local = {
   vid : Vnode_id.t;
   mutable group : Group_id.t;
   mutable spans : Span.t list;
-  data : (string, slot) Hashtbl.t;  (* authoritative copies *)
+  data : Versioned.cell Cells.t;  (* authoritative copies *)
 }
 
 type lpdr = {
@@ -185,11 +184,11 @@ type snode = {
      never straddles a stale LPDR epoch. *)
   rmap : int list Point_map.t;
   (* Cells held as a non-owner replica (including hinted parking). *)
-  replicas : (string, slot) Hashtbl.t;
+  replicas : Versioned.cell Cells.t;
   (* Hinted handoff owed to crashed replicas: (target snode, key). The
      flush is already in the reliable outbox; the entry survives until the
      target acknowledges it. *)
-  hints : (int * string, slot) Hashtbl.t;
+  hints : (int * string, Versioned.cell) Hashtbl.t;
   (* Transmission batching: one coalescing buffer per destination. *)
   obufs : (int, obuf) Hashtbl.t;
   quorums : (int, qstate) Hashtbl.t;  (* token -> in-flight quorum op *)
@@ -381,6 +380,11 @@ type t = {
   mutable sync_cells : int;  (* cells freshened by anti-entropy syncs *)
   mutable orphans : int;  (* replica-table cells routed back to an owner *)
   mutable done_ranges : int;  (* completed coordinated range reads *)
+  (* Range-leg store scans (one per replica serving a leg): cells
+     returned, plus the slots examined and buckets visited to find them. *)
+  mutable range_legs : int;
+  mutable range_returned : int;
+  range_scan : Cells.scan;
   mutable ae_digests : int;  (* legacy full-span digests pushed *)
   mutable ae_roots : int;  (* hash-tree descents opened (Mt_root sent) *)
   mutable ae_requests : int;  (* descent rounds (Mt_request messages) *)
@@ -488,6 +492,21 @@ let install_spans sn v spans =
   v.spans <- spans @ v.spans;
   List.iter (fun s -> Point_map.add sn.owned s v.vid) spans
 
+(* Remove and return every slot of [tbl] inside [spans], reading only
+   their buckets. *)
+let take_slots t tbl spans =
+  let moved = ref [] in
+  List.iter
+    (fun sp ->
+      Cells.iter_range tbl ~lo:(Span.start t.space sp) ~hi:(Span.stop t.space sp)
+        (fun s -> moved := s :: !moved))
+    spans;
+  List.iter (fun s -> Cells.remove tbl ~point:(Cells.point s) ~key:(Cells.key s)) !moved;
+  List.rev !moved
+
+let take_cells t tbl spans =
+  List.map (fun s -> (Cells.key s, Cells.cell s)) (take_slots t tbl spans)
+
 let donate_spans t sn v give =
   let rec take n acc rest =
     if n = 0 then (acc, rest)
@@ -500,17 +519,7 @@ let donate_spans t sn v give =
   v.spans <- kept;
   List.iter (fun s -> Point_map.remove sn.owned s) taken;
   (* Keys inside the donated partitions migrate with them. *)
-  let moved_data =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if List.exists (fun sp -> Span.contains t.space sp point) taken then
-          (key, s.cell) :: acc
-        else acc)
-      v.data []
-  in
-  List.iter (fun (key, _) -> Hashtbl.remove v.data key) moved_data;
-  (taken, moved_data)
+  (taken, take_cells t v.data taken)
 
 (* Donate one specific partition (the load balancer's hot/cold pick),
    with its keys — [donate_spans] for a named span instead of a count. *)
@@ -519,15 +528,7 @@ let donate_span t sn v span =
     invalid_arg "Runtime: donor does not own the requested span";
   v.spans <- List.filter (fun s -> Span.compare s span <> 0) v.spans;
   Point_map.remove sn.owned span;
-  let moved_data =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if Span.contains t.space span point then (key, s.cell) :: acc else acc)
-      v.data []
-  in
-  List.iter (fun (key, _) -> Hashtbl.remove v.data key) moved_data;
-  moved_data
+  take_cells t v.data [ span ]
 
 (* [true] when [e] is fresher than everything applied for [gid] so far; the
    high-water mark advances as a side effect. *)
@@ -559,14 +560,14 @@ let store_replica sn ~point ~key cell =
   let merge_into tbl =
     (* Single probe on the update path: find the slot, overwrite in
        place. Only a genuinely new key pays the second (insert) probe. *)
-    match Hashtbl.find_opt tbl key with
+    match Cells.find tbl ~point ~key with
     | None ->
-        Hashtbl.add tbl key { cell };
+        Cells.add tbl ~point ~key cell;
         true
     | Some s ->
-        if Versioned.newer cell.Versioned.version s.cell.Versioned.version
+        if Versioned.newer cell.Versioned.version (Cells.cell s).Versioned.version
         then begin
-          s.cell <- cell;
+          Cells.set_cell s cell;
           true
         end
         else false
@@ -578,10 +579,10 @@ let store_replica sn ~point ~key cell =
 let replica_lookup sn ~point ~key =
   let slot =
     match Point_map.find_owner_exn sn.owned point with
-    | vid -> Hashtbl.find_opt (local_exn sn vid).data key
-    | exception Not_found -> Hashtbl.find_opt sn.replicas key
+    | vid -> Cells.find (local_exn sn vid).data ~point ~key
+    | exception Not_found -> Cells.find sn.replicas ~point ~key
   in
-  Option.map (fun s -> s.cell) slot
+  Option.map Cells.cell slot
 
 (* Stamp a fresh write at this snode: virtual time plus the snode's own
    sequence counter, so two writes stamped in the same engine tick are
@@ -590,67 +591,63 @@ let stamp_cell t sn ~value =
   sn.wseq <- sn.wseq + 1;
   Versioned.cell ~value ~ts:(Engine.now t.engine) ~seq:sn.wseq ~origin:sn.sid ()
 
-(* Every cell this snode holds (own partitions and replica copies) whose
-   key hashes into [span]. *)
-let span_cells t sn span =
+(* Every slot this snode holds (own partitions and replica copies) whose
+   point lies in [lo, hi): the replica table first, then each vnode's,
+   reading only the buckets that overlap the interval. *)
+let iter_held ?scan sn ~lo ~hi f =
+  Cells.iter_range ?scan sn.replicas ~lo ~hi f;
+  Vtbl.iter (fun _ v -> Cells.iter_range ?scan v.data ~lo ~hi f) sn.locals
+
+(* The cells [iter_held] visits, sorted by key. Deterministic order:
+   which table holds a key depends on placement history, which differs
+   between owner and replica. *)
+let held_cells ?scan sn ~lo ~hi =
   let acc = ref [] in
-  let consider key s =
-    let point = Hash.string t.space key in
-    if Span.contains t.space span point then acc := (key, s.cell) :: !acc
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  (* Deterministic order: hash-table iteration order depends on insertion
-     history, which differs between owner and replica. *)
+  iter_held ?scan sn ~lo ~hi (fun s -> acc := (Cells.key s, Cells.cell s) :: !acc);
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+
+(* Every cell this snode holds whose key hashes into [span]. *)
+let span_cells t sn span =
+  held_cells sn ~lo:(Span.start t.space span) ~hi:(Span.stop t.space span)
 
 (* Order-insensitive digest of [span]: cell count and XOR-folded per-cell
    hashes. Two snodes agree iff they hold the same cells for the span. *)
 let span_digest t sn span =
   let count = ref 0 and h = ref 0 in
-  let consider key s =
-    let point = Hash.string t.space key in
-    if Span.contains t.space span point then begin
+  iter_held sn ~lo:(Span.start t.space span) ~hi:(Span.stop t.space span)
+    (fun s ->
       incr count;
-      h := !h lxor Versioned.digest key s.cell
-    end
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
+      h := !h lxor Versioned.digest (Cells.key s) (Cells.cell s));
   (!count, !h)
 
 (* A snode that just gained ownership of [spans] absorbs any copies it
    already held as a mere replica (they may be fresher than the
    transferred data if a quorum write landed mid-migration). *)
 let absorb_replica_cells t sn v spans =
-  let moving =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if List.exists (fun sp -> Span.contains t.space sp point) spans then
-          (key, s.cell) :: acc
-        else acc)
-      sn.replicas []
-  in
   List.iter
-    (fun (key, cell) ->
-      Hashtbl.remove sn.replicas key;
-      match Hashtbl.find_opt v.data key with
-      | Some s -> s.cell <- Versioned.merge_opt (Some s.cell) cell
-      | None -> Hashtbl.add v.data key { cell })
-    moving
+    (fun s ->
+      let key = Cells.key s and point = Cells.point s and cell = Cells.cell s in
+      match Cells.find v.data ~point ~key with
+      | Some mine ->
+          Cells.set_cell mine (Versioned.merge_opt (Some (Cells.cell mine)) cell)
+      | None -> Cells.add v.data ~point ~key cell)
+    (take_slots t sn.replicas spans)
 
 (* Every cell this snode holds whose key hashes into [lo, hi) — the
-   replica-side scan behind one range-read leg. *)
+   replica-side scan behind one range-read leg, counted in the runtime's
+   range-scan totals. *)
 let range_cells t sn ~lo ~hi =
-  let acc = ref [] in
-  let consider key s =
-    let point = Hash.string t.space key in
-    if point >= lo && point < hi then acc := (key, s.cell) :: !acc
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+  let cells = held_cells ~scan:t.range_scan sn ~lo ~hi in
+  t.range_legs <- t.range_legs + 1;
+  t.range_returned <- t.range_returned + List.length cells;
+  cells
+
+(* The smallest dyadic span containing the non-empty interval [lo, hi):
+   its level is the length of the prefix [lo] and [hi - 1] share. *)
+let covering_span space ~lo ~hi =
+  let rec width x n = if x = 0 then n else width (x lsr 1) (n + 1) in
+  let level = Space.bits space - width (lo lxor (hi - 1)) 0 in
+  Span.of_point space ~level lo
 
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy hash trees                                              *)
@@ -663,12 +660,12 @@ let range_cells t sn ~lo ~hi =
    digests interchangeable on the wire. *)
 let build_mtree t sn =
   let cells = ref [] in
-  let consider key s =
-    let point = Hash.string t.space key in
-    cells := (key, point, Versioned.digest key s.cell, s.cell) :: !cells
+  let consider s =
+    let key = Cells.key s and cell = Cells.cell s in
+    cells := (key, Cells.point s, Versioned.digest key cell, cell) :: !cells
   in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
+  Cells.iter consider sn.replicas;
+  Vtbl.iter (fun _ v -> Cells.iter consider v.data) sn.locals;
   let tree =
     Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root !cells
   in
@@ -1457,9 +1454,9 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       let cell = stamp_cell t sn ~value in
       heat_charge t sn ~point ~kind:`Write
         ~bytes:(String.length key + String.length value);
-      (match Hashtbl.find_opt v.data key with
-      | Some s -> s.cell <- cell
-      | None -> Hashtbl.add v.data key { cell });
+      (match Cells.find v.data ~point ~key with
+      | Some s -> Cells.set_cell s cell
+      | None -> Cells.add v.data ~point ~key cell);
       (* Replication on but the write arrived on the routed single-copy
          path (issued while the whole cluster was down, then parked):
          seed the other replicas immediately so the acked write does not
@@ -1482,8 +1479,8 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
       let value =
         Option.map
-          (fun s -> s.cell.Versioned.value)
-          (Hashtbl.find_opt v.data key)
+          (fun s -> (Cells.cell s).Versioned.value)
+          (Cells.find v.data ~point ~key)
       in
       send t ~src:sn.sid ~dst:origin
         (Wire.Get_reply { token; value; hint = reply_hint () })
@@ -1492,9 +1489,9 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       let v = local_exn sn owner in
       heat_charge t sn ~point ~kind:`Repl
         ~bytes:(String.length key + Versioned.size_bytes cell);
-      (match Hashtbl.find_opt v.data key with
-      | Some s -> s.cell <- Versioned.merge_opt (Some s.cell) cell
-      | None -> Hashtbl.add v.data key { cell })
+      (match Cells.find v.data ~point ~key with
+      | Some s -> Cells.set_cell s (Versioned.merge_opt (Some (Cells.cell s)) cell)
+      | None -> Cells.add v.data ~point ~key cell)
   | Wire.Op_create { newcomer } -> (
       (* The owner of the point is the victim vnode; its group is the
          victim group. Hand the request to that group's manager. *)
@@ -1678,13 +1675,13 @@ and fire_hints t sn q =
 and park_hint t sn ~target ~key ~point cell =
   let cell =
     match Hashtbl.find_opt sn.hints (target, key) with
-    | Some s ->
-        let merged = Versioned.merge ~mine:s.cell ~theirs:cell in
-        s.cell <- merged;
+    | Some mine ->
+        let merged = Versioned.merge ~mine ~theirs:cell in
+        Hashtbl.replace sn.hints (target, key) merged;
         merged
     | None ->
         t.hints_stored <- t.hints_stored + 1;
-        Hashtbl.add sn.hints (target, key) { cell };
+        Hashtbl.add sn.hints (target, key) cell;
         cell
   in
   send t ~src:sn.sid ~dst:target (Wire.Hint_flush { key; point; cell })
@@ -1842,7 +1839,8 @@ and start_range t sn ~token ~lo ~hi =
         Hashtbl.replace st.r_legs rl_lo leg;
         st.r_open <- st.r_open + 1
       end)
-    (Point_map.to_list sn.rmap);
+    (if lo < hi then Point_map.overlapping sn.rmap (covering_span t.space ~lo ~hi)
+     else []);
   if st.r_open = 0 then finish_range t sn st
   else begin
     let legs =
@@ -2002,20 +2000,20 @@ and ae_snode t sn =
     (fun _ v -> List.iter (fun span -> ae_push_span t sn span) v.spans)
     sn.locals;
   let orphans =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        match Point_map.find_point sn.rmap point with
+    Cells.fold
+      (fun s acc ->
+        match Point_map.find_point sn.rmap (Cells.point s) with
         | _, set when List.mem sn.sid set -> acc
-        | _ -> (key, point, s.cell) :: acc
-        | exception Not_found -> (key, point, s.cell) :: acc)
+        | _ -> s :: acc
+        | exception Not_found -> s :: acc)
       sn.replicas []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+    |> List.sort (fun a b -> String.compare (Cells.key a) (Cells.key b))
   in
   List.iter
-    (fun (key, point, cell) ->
+    (fun s ->
+      let key = Cells.key s and point = Cells.point s and cell = Cells.cell s in
       t.orphans <- t.orphans + 1;
-      Hashtbl.remove sn.replicas key;
+      Cells.remove sn.replicas ~point ~key;
       deliver_local t sn
         (Wire.Routed
            {
@@ -2181,9 +2179,10 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
   install_spans sn v spans;
   List.iter
     (fun (key, cell) ->
-      match Hashtbl.find_opt v.data key with
-      | None -> Hashtbl.add v.data key { cell }
-      | Some s -> s.cell <- Versioned.merge ~mine:s.cell ~theirs:cell)
+      let point = Hash.string t.space key in
+      match Cells.find v.data ~point ~key with
+      | None -> Cells.add v.data ~point ~key cell
+      | Some s -> Cells.set_cell s (Versioned.merge ~mine:(Cells.cell s) ~theirs:cell))
     data;
   (* Cells we already replicated for these spans move into the partition
      table, so the owner's holdings (and digests) see one copy. *)
@@ -2515,7 +2514,7 @@ and apply_prepare t sn ~from (p : Wire.prepare) =
         vid = p.Wire.newcomer;
         group = p.Wire.target;
         spans = [];
-        data = Hashtbl.create 16;
+        data = Cells.create t.space;
       };
     Hashtbl.replace sn.incomings p.Wire.event
       { got = 0; want = p.Wire.donor_batches; coordinator = from };
@@ -3035,8 +3034,8 @@ and handle t sn ~from msg =
          layer to retransmit it. A duplicate flush is harmless — storage
          merges by LWW and a second ack finds the binding already gone. *)
       Hashtbl.fold
-        (fun (target, key) s acc ->
-          if target = from then (key, s.cell) :: acc else acc)
+        (fun (target, key) cell acc ->
+          if target = from then (key, cell) :: acc else acc)
         sn.hints []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       |> List.iter (fun (key, cell) ->
@@ -3611,7 +3610,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
         cache = Point_map.create space;
         rmap = Point_map.create space;
         pfence = Point_map.create space;
-        replicas = Hashtbl.create 16;
+        replicas = Cells.create space;
         hints = Hashtbl.create 8;
         quorums = Hashtbl.create 8;
         wseq = 0;
@@ -3655,7 +3654,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   let snodes_arr = Array.init snodes mk_snode in
   let sn0 = snodes_arr.(0) in
   Vtbl.replace sn0.locals first
-    { vid = first; group = Group_id.root; spans = spans0; data = Hashtbl.create 16 };
+    { vid = first; group = Group_id.root; spans = spans0; data = Cells.create space };
   List.iter (fun s -> Point_map.add sn0.owned s first) spans0;
   Gtbl.replace sn0.lpdrs Group_id.root
     { level = level0; epoch = 0; counts = [ (first, pmin) ] };
@@ -3728,6 +3727,9 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       sync_cells = 0;
       orphans = 0;
       done_ranges = 0;
+      range_legs = 0;
+      range_returned = 0;
+      range_scan = Cells.scan ();
       ae_digests = 0;
       ae_roots = 0;
       ae_requests = 0;
@@ -3817,6 +3819,34 @@ let overload_stats (t : t) =
     ingress_overflows = Network.ingress_overflows t.net;
     ingress_peak = Network.max_ingress_high_water t.net;
   }
+
+(* Store-table audit: every table must be structurally sound
+   ([Cells.check]), and every slot's cached point must be its key's hash —
+   the point-ordered tables trust that cache for placement, range legs and
+   transfers, so it is re-derived here rather than assumed. *)
+let store_audit t =
+  let issues = ref [] in
+  let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
+  let table sid name tbl =
+    List.iter (fun issue -> fail "snode %d %s: %s" sid name issue) (Cells.check tbl);
+    Cells.iter
+      (fun s ->
+        let key = Cells.key s and point = Cells.point s in
+        let h = Hash.string t.space key in
+        if h <> point then
+          fail "snode %d %s: key %S cached at point %d, hashes to %d" sid name
+            key point h)
+      tbl
+  in
+  Array.iter
+    (fun sn ->
+      table sn.sid "replicas" sn.replicas;
+      Vtbl.fold (fun vid v acc -> (vid, v) :: acc) sn.locals []
+      |> List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b)
+      |> List.iter (fun (vid, v) ->
+             table sn.sid (Format.asprintf "data of %a" Vnode_id.pp vid) v.data))
+    t.snodes;
+  List.rev !issues
 
 (* Bounded-queue audit: the structural invariants of the degradation layer.
    Cheap enough to run at every explorer step. *)
@@ -4066,6 +4096,10 @@ let record_metrics t reg =
   c ~labels:[ ("op", "put") ] "runtime.ops" t.done_puts;
   c ~labels:[ ("op", "get") ] "runtime.ops" t.done_gets;
   c ~labels:[ ("op", "range") ] "runtime.ops" t.done_ranges;
+  c "runtime.range.legs" t.range_legs;
+  c "runtime.range.returned" t.range_returned;
+  c "runtime.range.examined" t.range_scan.Cells.examined;
+  c "runtime.range.buckets" t.range_scan.Cells.visited;
   c "runtime.ae.digests" t.ae_digests;
   c "runtime.ae.roots" t.ae_roots;
   c "runtime.ae.requests" t.ae_requests;
@@ -4203,8 +4237,8 @@ let peek t ~key =
       let sn = t.snodes.(sid) in
       match Point_map.find_point sn.owned point with
       | _, vid -> (
-          match Hashtbl.find_opt (local_exn sn vid).data key with
-          | Some s -> Some s.cell.Versioned.value
+          match Cells.find (local_exn sn vid).data ~point ~key with
+          | Some s -> Some (Cells.cell s).Versioned.value
           | None -> None)
       | exception Not_found -> scan (sid + 1)
   in
@@ -4324,6 +4358,21 @@ let completed_removals t = t.done_removals
 let completed_puts t = t.done_puts
 let completed_gets t = t.done_gets
 let completed_ranges t = t.done_ranges
+
+type range_stats = {
+  rs_legs : int;
+  rs_returned : int;
+  rs_examined : int;
+  rs_buckets : int;
+}
+
+let range_stats t =
+  {
+    rs_legs = t.range_legs;
+    rs_returned = t.range_returned;
+    rs_examined = t.range_scan.Cells.examined;
+    rs_buckets = t.range_scan.Cells.visited;
+  }
 let retries t = t.retried
 
 (* ------------------------------------------------------------------ *)
@@ -4444,9 +4493,9 @@ let audit t =
     (fun sn ->
       Vtbl.iter
         (fun vid v ->
-          Hashtbl.iter
-            (fun key _ ->
-              let point = Hash.string t.space key in
+          Cells.iter
+            (fun s ->
+              let key = Cells.key s and point = Cells.point s in
               if not (List.exists (fun s -> Span.contains t.space s point) v.spans)
               then
                 fail "data: key %S stored at %a which does not own it" key
@@ -4454,6 +4503,7 @@ let audit t =
             v.data)
         sn.locals)
     t.snodes;
+  List.iter (fun issue -> fail "%s" issue) (store_audit t);
   match !issues with [] -> Ok () | l -> Error (List.rev l)
 
 (* ------------------------------------------------------------------ *)
@@ -4532,7 +4582,7 @@ end
 
 let view t =
   let kv_sorted tbl =
-    Hashtbl.fold (fun k s acc -> (k, s.cell.Versioned.value) :: acc) tbl []
+    Cells.fold (fun s acc -> (Cells.key s, (Cells.cell s).Versioned.value) :: acc) tbl []
     |> List.sort compare
   in
   let vnode_of v =

@@ -319,6 +319,19 @@ val completed_gets : t -> int
 val completed_ranges : t -> int
 (** Range reads settled (including empty results). *)
 
+type range_stats = {
+  rs_legs : int;  (** leg scans served, one per replica answering a leg *)
+  rs_returned : int;  (** cells those scans returned *)
+  rs_examined : int;  (** store slots they compared against the leg bounds *)
+  rs_buckets : int;  (** store buckets they visited *)
+}
+
+val range_stats : t -> range_stats
+(** Store cost of range reads. A leg reads only the buckets overlapping
+    its interval, so [rs_examined] stays within [rs_returned] plus the
+    boundary buckets' strays; a scan of the whole store would push it to
+    every cell each serving replica holds. Deterministic per seed. *)
+
 val retries : t -> int
 (** Operations that exhausted the forwarding hop limit and backed off —
     a measure of cache staleness encountered. *)
@@ -593,8 +606,10 @@ val record_metrics : t -> Dht_telemetry.Registry.t -> unit
     per-tag traffic ([net.messages]/[net.bytes], label [tag=<wire tag>]),
     fault/recovery counters, replication repair counters
     ([runtime.repl.hint.stored/flushed], [runtime.repl.repair.read],
-    [runtime.repl.sync.cells/orphans]) and completed-operation counts
-    ([runtime.ops], label [op]) — into [reg]. With [~heat:true] also dumps
+    [runtime.repl.sync.cells/orphans]), completed-operation counts
+    ([runtime.ops], label [op]) and range-leg store cost
+    ([runtime.range.legs/returned/examined/buckets], see {!range_stats})
+    — into [reg]. With [~heat:true] also dumps
     the per-partition heat table as [heat.reads/writes/repl/bytes] gauges
     and [heat.accesses] counters labeled [(partition, owner)]. Call once,
     after the run; the histograms registered by [create ~metrics]
@@ -611,7 +626,14 @@ val audit : t -> (unit, string list) result
     - LPDR counts equal the owners' real partition counts; G2'–G5' and L2
       hold per group; L1 holds globally;
     - every routing cache still covers the whole range;
-    - every stored key lives at the vnode owning its hash point. *)
+    - every stored key lives at the vnode owning its hash point;
+    - every {!store_audit} finding. *)
+
+val store_audit : t -> string list
+(** Audit of every snode's point-ordered store tables (replica copies and
+    each vnode's data): the structural {!Cells.check} of each table, and
+    every slot's cached hash point recomputed from its key. Empty when
+    sound. Costs one hash per stored cell. *)
 
 (** {2 Verification hooks}
 

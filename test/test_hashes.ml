@@ -11,6 +11,16 @@ let test_fnv1a_vectors () =
   check Alcotest.int64 "a" 0xaf63dc4c8601ec8cL (Hash.fnv1a64 "a");
   check Alcotest.int64 "foobar" 0x85944171f73967e8L (Hash.fnv1a64 "foobar")
 
+let test_string_vectors () =
+  (* [Hash.string] at the default 52-bit space: every stored cell's point
+     and every placement decision derive from these, so a rewrite of the
+     hash loop must reproduce them bit for bit. *)
+  let sp = Space.default in
+  check Alcotest.int "empty" 4218834538703250 (Hash.string sp "");
+  check Alcotest.int "a" 2298162199567340 (Hash.string sp "a");
+  check Alcotest.int "k1-0" 301391562219806 (Hash.string sp "k1-0");
+  check Alcotest.int "user:42" 2700956687820568 (Hash.string sp "user:42")
+
 let test_fnv1a_sensitivity () =
   check Alcotest.bool "one-char difference" true
     (Hash.fnv1a64 "key1" <> Hash.fnv1a64 "key2");
@@ -79,6 +89,7 @@ let prop_in_space =
 let suite =
   [
     Alcotest.test_case "fnv1a reference vectors" `Quick test_fnv1a_vectors;
+    Alcotest.test_case "string reference vectors" `Quick test_string_vectors;
     Alcotest.test_case "fnv1a sensitivity" `Quick test_fnv1a_sensitivity;
     Alcotest.test_case "mix64 avalanche" `Quick test_mix64_avalanche;
     Alcotest.test_case "mix64 deterministic" `Quick test_mix64_deterministic;
