@@ -2,20 +2,12 @@
 
     Every check returns a list of structured findings — empty means the
     invariant battery holds. Model-level checks (over {!Dht_core.Local_dht}
-    and {!Dht_core.Global_dht}) delegate to {!Dht_core.Audit} and lift its
-    messages; snapshot-level checks re-derive the same battery from a
-    {!Dht_snode.Runtime.View}, the canonical export of the distributed
-    state.
-
-    Invariant names follow the paper: G1/G1' (partitions tile [R_h]
-    exactly), G2/G2' (group partition total a power of two), G3/G3' (all
-    partitions at the group's split level), G4/G4'
-    ([Pmin <= Pv <= Pmax = 2·Pmin]), G5/G5' (power-of-two vnode population
-    implies equal counts), L1 (groups partition the vnode set), L2
-    ([Vmin <= Vg <= Vmax = 2·Vmin], group 0 exempt while sole), plus
-    [LPDR] (copy agreement and quota-vs-ownership consistency), [quota]
-    (ΣQv = 1), [cache]/[rmap] (full routing coverage) and [data] (keys
-    live at their owner). *)
+    and {!Dht_core.Global_dht}) lift the messages of {!Dht_core.Audit};
+    runtime-level checks lift those of the one runtime battery,
+    {!Dht_snode.View.check}, whose per-group predicates are
+    {!Dht_core.Audit}'s own. {!Dht_snode.View} lists the invariant names:
+    G1–G5/G1'–G5', L1, L2, and the runtime's [count], [group], [LPDR],
+    [quota], [cache], [rmap], [host], [data] and [STORE]. *)
 
 open Dht_core
 module Runtime := Dht_snode.Runtime
@@ -38,26 +30,25 @@ val check_global : Global_dht.t -> finding list
 
 val check_snode :
   space:Dht_hashspace.Space.t -> Runtime.View.snode_view -> finding list
-(** The per-snode subset that holds at {e every} instant, including while
-    a balancing commit is fanning out: routing-cache and replica-map
-    coverage, and data placement. Safe from a
+(** {!Dht_snode.View.check_snode} without the cache cap: the per-snode
+    subset that holds at {e every} instant, including while a balancing
+    commit is fanning out. Safe from a
     {!Dht_snode.Runtime.set_on_commit} hook. *)
 
 val check_view :
   space:Dht_hashspace.Space.t ->
   pmin:int ->
   vmax:int ->
+  route_cap:int ->
   Runtime.View.t ->
   finding list
-(** The full battery over one cluster snapshot: G1', LPDR agreement
-    across live snodes' copies, G2'-G5', L1, L2, quota conservation, and
-    {!check_snode} on every live snode. Meaningful at quiescence — LPDR
-    copies legitimately diverge while a commit is in flight. *)
+(** {!Dht_snode.View.check}: the full battery over one cluster snapshot.
+    Meaningful at quiescence — LPDR copies legitimately diverge while a
+    commit is in flight. *)
 
 val check_runtime : Runtime.t -> finding list
-(** {!check_view} over [Runtime.view rt] with the runtime's own
-    parameters, plus {!Runtime.store_audit} (findings tagged [STORE]):
-    the store tables' structure and cached hash points. *)
+(** {!Dht_snode.Runtime.audit}, lifted: {!check_view} with the runtime's
+    own parameters plus {!Dht_snode.Runtime.store_audit}. *)
 
 val check_overload : Runtime.t -> finding list
 (** Queue-discipline audit of the graceful-degradation layer

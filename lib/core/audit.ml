@@ -2,55 +2,93 @@ open Dht_hashspace
 
 let errf fmt = Format.asprintf fmt
 
-let check_balancer b =
-  let params = Balancer.params b in
-  let pmin = params.Params.pmin and pmax = Params.pmax params in
-  let level = Balancer.level b in
-  let members = Balancer.vnodes b in
-  let issues = ref [] in
-  let fail msg = issues := msg :: !issues in
-  let total = ref 0 in
-  Array.iter
-    (fun v ->
-      total := !total + v.Vnode.count;
-      if List.length v.Vnode.spans <> v.Vnode.count then
-        fail (errf "vnode %a: count %d <> %d spans" Vnode_id.pp v.Vnode.id
-                v.Vnode.count (List.length v.Vnode.spans));
-      if not (Group_id.equal v.Vnode.group (Balancer.group b)) then
-        fail (errf "vnode %a: group field %a <> balancer group %a" Vnode_id.pp
-                v.Vnode.id Group_id.pp v.Vnode.group Group_id.pp
-                (Balancer.group b));
-      if v.Vnode.count < pmin || v.Vnode.count > pmax then
-        fail (errf "G4: vnode %a holds %d partitions, outside [%d, %d]"
-                Vnode_id.pp v.Vnode.id v.Vnode.count pmin pmax);
-      List.iter
-        (fun s ->
-          if Span.level s <> level then
-            fail (errf "G3: vnode %a has %a at level <> group level %d"
-                    Vnode_id.pp v.Vnode.id Span.pp s level))
-        v.Vnode.spans)
-    members;
-  if !total <> Balancer.total_partitions b then
-    fail (errf "Pg bookkeeping: cached %d <> recomputed %d"
-            (Balancer.total_partitions b) !total);
-  if not (Params.is_power_of_two !total) then
-    fail (errf "G2: group %a has %d partitions (not a power of two)"
-            Group_id.pp (Balancer.group b) !total);
+(* ------------------------------------------------------------------ *)
+(* Per-group predicates, shared with the snode runtime's battery        *)
+
+let group_counts ~pmin ~group counts =
+  let pmax = 2 * pmin in
+  let g4 =
+    List.filter_map
+      (fun (id, c) ->
+        if c < pmin || c > pmax then
+          Some
+            (errf "G4: group %a vnode %a holds %d partitions, outside [%d, %d]"
+               Group_id.pp group Vnode_id.pp id c pmin pmax)
+        else None)
+      counts
+  in
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
+  let g2 =
+    if Params.is_power_of_two total then []
+    else
+      [ errf "G2: group %a has %d partitions (not a power of two)" Group_id.pp
+          group total ]
+  in
   (* G5/G5', in the form that survives removals: a power-of-two population
      is perfectly balanced (all counts equal). Creation-only histories
      additionally have that common count equal to Pmin (covered by the
      creation tests); after removals the common count may sit deeper. *)
-  if Params.is_power_of_two (Array.length members) && Array.length members > 0
-  then begin
-    let c0 = members.(0).Vnode.count in
-    Array.iter
-      (fun v ->
-        if v.Vnode.count <> c0 then
-          fail (errf "G5: Vg=%d is a power of two but counts differ (%d vs %d)"
-                  (Array.length members) v.Vnode.count c0))
-      members
-  end;
-  List.rev !issues
+  let vg = List.length counts in
+  let g5 =
+    match counts with
+    | (_, c0) :: rest
+      when Params.is_power_of_two vg && List.exists (fun (_, c) -> c <> c0) rest
+      ->
+        [ errf "G5: group %a has Vg=%d, a power of two, but uneven counts"
+            Group_id.pp group vg ]
+    | _ -> []
+  in
+  g4 @ g2 @ g5
+
+let member ~group ~level ~id ~count ~member_of spans =
+  let n = List.length spans in
+  (if n <> count then
+     [ errf "count: vnode %a registered with %d partitions, owns %d"
+         Vnode_id.pp id count n ]
+   else [])
+  @ (if not (Group_id.equal member_of group) then
+       [ errf "group: vnode %a has group field %a, listed in %a" Vnode_id.pp
+           id Group_id.pp member_of Group_id.pp group ]
+     else [])
+  @ List.filter_map
+      (fun s ->
+        if Span.level s <> level then
+          Some
+            (errf "G3: vnode %a holds %a, group %a is at level %d" Vnode_id.pp
+               id Span.pp s Group_id.pp group level)
+        else None)
+      spans
+
+let group_size ~vmin ~vmax ~sole ~group vg =
+  if sole then
+    if vg < 1 || vg > vmax then
+      [ errf "L2: sole group %a has Vg=%d outside [1, %d]" Group_id.pp group vg
+          vmax ]
+    else []
+  else if vg < vmin || vg > vmax then
+    [ errf "L2: group %a has Vg=%d outside [%d, %d]" Group_id.pp group vg vmin
+        vmax ]
+  else []
+
+(* ------------------------------------------------------------------ *)
+(* Model checks                                                         *)
+
+let check_balancer b =
+  let pmin = (Balancer.params b).Params.pmin in
+  let group = Balancer.group b and level = Balancer.level b in
+  let members = Array.to_list (Balancer.vnodes b) in
+  let counts = List.map (fun v -> (v.Vnode.id, v.Vnode.count)) members in
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
+  List.concat_map
+    (fun v ->
+      member ~group ~level ~id:v.Vnode.id ~count:v.Vnode.count
+        ~member_of:v.Vnode.group v.Vnode.spans)
+    members
+  @ (if total <> Balancer.total_partitions b then
+       [ errf "Pg bookkeeping: cached %d <> recomputed %d"
+           (Balancer.total_partitions b) total ]
+     else [])
+  @ group_counts ~pmin ~group counts
 
 let check_map space map owners =
   let issues = ref [] in
@@ -100,18 +138,12 @@ let check_local dht =
     !issues
     @ check_map params.Params.space (Local_dht.map dht) (Local_dht.vnodes dht);
   (* L2, with the paper's exception: while group 0 is alone, 1 <= V0 <= Vmax. *)
-  let single = List.length balancers = 1 in
+  let sole = List.length balancers = 1 in
   List.iter
     (fun b ->
-      let vg = Balancer.vnode_count b in
-      if single then begin
-        if vg < 1 || vg > vmax then
-          fail (errf "L2: sole group %a has Vg=%d outside [1, %d]" Group_id.pp
-                  (Balancer.group b) vg vmax)
-      end
-      else if vg < vmin || vg > vmax then
-        fail (errf "L2: group %a has Vg=%d outside [%d, %d]" Group_id.pp
-                (Balancer.group b) vg vmin vmax))
+      List.iter fail
+        (group_size ~vmin ~vmax ~sole ~group:(Balancer.group b)
+           (Balancer.vnode_count b)))
     balancers;
   (* L1: groups partition the vnode set. Group-id keys are unique by
      construction of the map; check vnode ids are globally unique and the

@@ -19,22 +19,19 @@ let check sp spans =
       | Some s -> Error (Out_of_space s)
       | None ->
           let sorted = List.sort Span.compare spans in
-          let rec walk cursor = function
+          (* [prev] is the span that ended at [cursor]: sorted by start, a
+             span starting before the cursor overlaps it (a duplicate too). *)
+          let rec walk prev cursor = function
             | [] ->
                 if cursor = Space.size sp then Ok ()
                 else Error (Gap { after = cursor; before = Space.size sp })
             | s :: rest ->
                 let st = Span.start sp s in
-                if st < cursor then
-                  (* sorted by start, so the previous span ran past us *)
-                  let prev =
-                    List.find (fun p -> Span.overlap p s) (List.filter (fun p -> p != s) spans)
-                  in
-                  Error (Overlap { a = prev; b = s })
+                if st < cursor then Error (Overlap { a = prev; b = s })
                 else if st > cursor then Error (Gap { after = cursor; before = st })
-                else walk (Span.stop sp s) rest
+                else walk s (Span.stop sp s) rest
           in
-          walk 0 sorted)
+          walk (List.hd sorted) 0 sorted)
 
 let total_quota sp spans =
   List.fold_left (fun acc s -> acc +. Span.quota sp s) 0. spans

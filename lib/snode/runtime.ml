@@ -19,11 +19,19 @@ module Gtbl = Hashtbl.Make (Group_id)
 
 (* Forwarding limit: a routed operation bounces through at most [max_hops]
    stale caches, then backs off and retries from scratch; convergence is
-   guaranteed once the in-flight balancing event commits. The retry budget
-   and backoff delay are per-runtime (see [create]), and [max_hops] itself
-   is a [create] parameter with this default — scaling sweeps raise it so
-   the hop distribution is measurable instead of retry-truncated. *)
+   guaranteed once the in-flight balancing event commits. [max_hops] is a
+   [create] parameter with this default — scaling sweeps raise it so the
+   hop distribution is measurable instead of retry-truncated. *)
 let default_max_hops = 4
+
+(* Protocol constants no caller ever tuned (delays in seconds). *)
+let space = Space.default
+let max_retries = 50  (* routing back-off retries of one operation *)
+let backoff = 1e-3  (* routing back-off delay *)
+let rto_cap = 0.05  (* retransmission back-off ceiling; also probe cadence *)
+let poison_after = 5  (* consecutive timeouts before a route is poisoned *)
+let event_timeout = 1.0  (* per-round watchdog of balancing events *)
+let handoff_timeout = 0.02  (* write-ack patience before hinting *)
 
 let log_src = Logs.Src.create "dht.snode" ~doc:"Distributed snode runtime"
 
@@ -311,26 +319,19 @@ type t = {
   engine : Engine.t;
   net : Network.t;
   faults : Fault.t option;
-  space : Space.t;
   pmin : int;
   vmax : int;  (* group capacity; [max_int] under the global approach *)
-  max_retries : int;  (* routing backoff budget *)
-  backoff : float;  (* routing backoff delay, seconds *)
   rto : float;  (* initial retransmission timeout *)
-  rto_cap : float;  (* retransmission backoff ceiling; also probe cadence *)
   retry_budget : int;  (* fast retransmissions per message; 0 = unlimited *)
   adaptive_rto : bool;  (* Jacobson/Karn RTO from per-route RTT samples *)
   max_inflight : int;  (* per-peer transmission window; 0 = unbounded *)
   admission_deadline : float;  (* quorum-op shed threshold; 0 = off *)
-  poison_after : int;  (* consecutive timeouts before a route is poisoned *)
-  event_timeout : float;  (* per-round watchdog for balancing events *)
   rfactor : int;  (* copies per partition; 1 = no replication *)
   route_cap : int;  (* routing-cache entry bound; 0 = unbounded (legacy) *)
   max_hops : int;  (* forwarding limit before a routed op backs off *)
   rlevel : int;  (* finger level: ceil(log2 snodes), clamped to the space *)
   read_quorum : int;  (* R *)
   write_quorum : int;  (* W; R + W > rfactor *)
-  handoff_timeout : float;  (* write-ack patience before hinting *)
   linger : float;  (* coalescing window; 0 = batching off *)
   mt_threshold : int;
       (* anti-entropy protocol switch: a span probe whose local cell count
@@ -417,15 +418,10 @@ let record t ev = match t.recorder with Some f -> f ev | None -> ()
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance                                                    *)
 
-(* Learn [span -> value] without ever leaving a hole: evicted entries that
-   are strictly coarser than [span] have their remainder kept under the old
-   value (dyadic path decomposition). Shared by the routing cache and the
-   replica map; one in-place trie pass. *)
-let map_learn space map span value =
-  ignore space;
-  Point_map.learn map span value
-
-let rmap_learn t sn span sids = map_learn t.space sn.rmap span sids
+(* Learning a replica set never leaves a hole ([Point_map.learn]): evicted
+   entries strictly coarser than [span] keep their remainder under the old
+   value (dyadic path decomposition), in one in-place trie pass. *)
+let rmap_learn sn span sids = Point_map.learn sn.rmap span sids
 
 (* ------------------------------------------------------------------ *)
 (* Bounded routing cache                                                *)
@@ -454,7 +450,7 @@ let cache_evict_to_cap t sn =
     while Point_map.cardinal sn.cache > t.route_cap do
       let best = ref None in
       Point_map.iter_pairs sn.cache (fun parent lo_v hi_v ->
-          let lo_s, hi_s = Span.split t.space parent in
+          let lo_s, hi_s = Span.split space parent in
           let a = cache_stamp sn lo_s and b = cache_stamp sn hi_s in
           let stamp = if a >= b then a else b in
           let keep = if a >= b then lo_v else hi_v in
@@ -472,7 +468,7 @@ let cache_evict_to_cap t sn =
     done
 
 let cache_learn t sn span vid =
-  map_learn t.space sn.cache span vid;
+  Point_map.learn sn.cache span vid;
   if t.route_cap > 0 then begin
     cache_touch t sn span;
     cache_evict_to_cap t sn;
@@ -494,20 +490,20 @@ let install_spans sn v spans =
 
 (* Remove and return every slot of [tbl] inside [spans], reading only
    their buckets. *)
-let take_slots t tbl spans =
+let take_slots tbl spans =
   let moved = ref [] in
   List.iter
     (fun sp ->
-      Cells.iter_range tbl ~lo:(Span.start t.space sp) ~hi:(Span.stop t.space sp)
+      Cells.iter_range tbl ~lo:(Span.start space sp) ~hi:(Span.stop space sp)
         (fun s -> moved := s :: !moved))
     spans;
   List.iter (fun s -> Cells.remove tbl ~point:(Cells.point s) ~key:(Cells.key s)) !moved;
   List.rev !moved
 
-let take_cells t tbl spans =
-  List.map (fun s -> (Cells.key s, Cells.cell s)) (take_slots t tbl spans)
+let take_cells tbl spans =
+  List.map (fun s -> (Cells.key s, Cells.cell s)) (take_slots tbl spans)
 
-let donate_spans t sn v give =
+let donate_spans sn v give =
   let rec take n acc rest =
     if n = 0 then (acc, rest)
     else
@@ -519,16 +515,16 @@ let donate_spans t sn v give =
   v.spans <- kept;
   List.iter (fun s -> Point_map.remove sn.owned s) taken;
   (* Keys inside the donated partitions migrate with them. *)
-  (taken, take_cells t v.data taken)
+  (taken, take_cells v.data taken)
 
 (* Donate one specific partition (the load balancer's hot/cold pick),
    with its keys — [donate_spans] for a named span instead of a count. *)
-let donate_span t sn v span =
+let donate_span sn v span =
   if not (List.exists (fun s -> Span.compare s span = 0) v.spans) then
     invalid_arg "Runtime: donor does not own the requested span";
   v.spans <- List.filter (fun s -> Span.compare s span <> 0) v.spans;
   Point_map.remove sn.owned span;
-  take_cells t v.data [ span ]
+  take_cells v.data [ span ]
 
 (* [true] when [e] is fresher than everything applied for [gid] so far; the
    high-water mark advances as a side effect. *)
@@ -539,12 +535,12 @@ let epoch_note sn gid e =
       Gtbl.replace sn.gepochs gid e;
       true
 
-let split_all_local t sn v =
+let split_all_local sn v =
   let halves =
     List.concat_map
       (fun s ->
         Point_map.split sn.owned s;
-        let a, b = Span.split t.space s in
+        let a, b = Span.split space s in
         [ a; b ])
       v.spans
   in
@@ -607,14 +603,14 @@ let held_cells ?scan sn ~lo ~hi =
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 (* Every cell this snode holds whose key hashes into [span]. *)
-let span_cells t sn span =
-  held_cells sn ~lo:(Span.start t.space span) ~hi:(Span.stop t.space span)
+let span_cells sn span =
+  held_cells sn ~lo:(Span.start space span) ~hi:(Span.stop space span)
 
 (* Order-insensitive digest of [span]: cell count and XOR-folded per-cell
    hashes. Two snodes agree iff they hold the same cells for the span. *)
-let span_digest t sn span =
+let span_digest sn span =
   let count = ref 0 and h = ref 0 in
-  iter_held sn ~lo:(Span.start t.space span) ~hi:(Span.stop t.space span)
+  iter_held sn ~lo:(Span.start space span) ~hi:(Span.stop space span)
     (fun s ->
       incr count;
       h := !h lxor Versioned.digest (Cells.key s) (Cells.cell s));
@@ -623,7 +619,7 @@ let span_digest t sn span =
 (* A snode that just gained ownership of [spans] absorbs any copies it
    already held as a mere replica (they may be fresher than the
    transferred data if a quorum write landed mid-migration). *)
-let absorb_replica_cells t sn v spans =
+let absorb_replica_cells sn v spans =
   List.iter
     (fun s ->
       let key = Cells.key s and point = Cells.point s and cell = Cells.cell s in
@@ -631,7 +627,7 @@ let absorb_replica_cells t sn v spans =
       | Some mine ->
           Cells.set_cell mine (Versioned.merge_opt (Some (Cells.cell mine)) cell)
       | None -> Cells.add v.data ~point ~key cell)
-    (take_slots t sn.replicas spans)
+    (take_slots sn.replicas spans)
 
 (* Every cell this snode holds whose key hashes into [lo, hi) — the
    replica-side scan behind one range-read leg, counted in the runtime's
@@ -667,7 +663,7 @@ let build_mtree t sn =
   Cells.iter consider sn.replicas;
   Vtbl.iter (fun _ v -> Cells.iter consider v.data) sn.locals;
   let tree =
-    Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root !cells
+    Merkle.build ~leaf_cap:t.mt_leaf ~space ~span:Span.root !cells
   in
   sn.mtree <- Some tree;
   tree
@@ -969,11 +965,15 @@ let admission_estimate t sn ~set ~need =
 let rec send t ~src ~dst msg =
   let msg = if t.causal then causal_wrap t ~src ~dst msg else msg in
   if src = dst then begin
-    (* Loopback pays no queueing layer: the edge transmits as it is sent. *)
+    (* Loopback pays no queueing layer: the edge transmits as it is sent.
+       It bypasses the reliable layer too, so a delivery that finds its
+       snode crashed parks, like [deliver_local], and drains on restart. *)
     if t.causal then emit_xmit t ~tid:src ~attempt:1 msg;
     Network.send t.net ~tag:(Wire.describe msg) ~src ~dst
       ~bytes:(Wire.size_bytes msg) (fun () ->
-        receive t t.snodes.(dst) ~from:src msg)
+        let sn = t.snodes.(dst) in
+        if sn.alive then receive t sn ~from:src msg
+        else Queue.add msg sn.parked)
   end
   else if t.linger > 0. then stage t t.snodes.(src) ~dst msg
   else transmit_now t ~src ~dst msg
@@ -1103,7 +1103,7 @@ and reliable_send ?(acks = []) t sn ~dst msg =
          capped cadence; an ack (or any traffic from the peer) flushes the
          whole outbox at once. *)
       if acks <> [] then send_coalesced t sn ~dst acks;
-      arm_retransmit t sn ~dst ~seq entry ~delay:t.rto_cap
+      arm_retransmit t sn ~dst ~seq entry ~delay:rto_cap
     end
     else transmit ~acks t sn ~dst ~seq entry
   end
@@ -1170,7 +1170,7 @@ and rto_for t sn ~dst attempts =
       if p.srtt > 0. then Float.max t.rto (p.srtt +. (4. *. p.rttvar))
       else t.rto
   in
-  let base = Float.min (rto0 *. (2. ** exp)) t.rto_cap in
+  let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
   base *. (1. +. (0.5 *. Rng.float sn.rng))
 
 and arm_retransmit t sn ~dst ~seq entry ~delay =
@@ -1199,7 +1199,7 @@ and on_rto t sn ~dst ~seq entry =
     t.timeouts <- t.timeouts + 1;
     let p = peer_of sn dst in
     p.strikes <- p.strikes + 1;
-    if (not p.suspect) && p.strikes >= t.poison_after then begin
+    if (not p.suspect) && p.strikes >= poison_after then begin
       p.suspect <- true;
       if Trace.enabled t.trace then
         Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
@@ -1260,7 +1260,7 @@ and refill_window t sn ~pid =
           entry.o_live <- true;
           p.live <- p.live + 1;
           if p.suspect then
-            arm_retransmit t sn ~dst:pid ~seq entry ~delay:t.rto_cap
+            arm_retransmit t sn ~dst:pid ~seq entry ~delay:rto_cap
           else transmit t sn ~dst:pid ~seq entry
     done
   end
@@ -1359,9 +1359,9 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
              operation legitimately backs off for as long as a crashed
              snode stays down, and under bounded routing a fold can leave a
              transient cycle even with no faults at all. *)
-          if retries >= t.max_retries then
+          if retries >= max_retries then
             failwith "Runtime: routing failed to converge";
-          Engine.schedule t.engine ~delay:t.backoff (fun () ->
+          Engine.schedule t.engine ~delay:backoff (fun () ->
               with_ctx t ctx (fun () -> deliver_local t sn msg))
         end
         else begin
@@ -1378,7 +1378,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
              round to repair the stewards rather than spin restarts
              through the same cycle at full tilt. *)
           let delay =
-            t.backoff *. (2. ** float_of_int (min retries 7))
+            backoff *. (2. ** float_of_int (min retries 7))
           in
           Engine.schedule t.engine ~delay (fun () ->
               with_ctx t ctx (fun () ->
@@ -1403,14 +1403,14 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
             let depth = Point_map.probe_depth sn.cache point in
             if depth >= t.rlevel then begin
               t.rc_hits <- t.rc_hits + 1;
-              cache_touch t sn (Span.of_point t.space ~level:depth point);
+              cache_touch t sn (Span.of_point space ~level:depth point);
               advice.Vnode_id.snode
             end
             else begin
               t.rc_misses <- t.rc_misses + 1;
               if hops > 0 then advice.Vnode_id.snode
               else
-                let region = Fingers.region ~bits:(Space.bits t.space) ~level:t.rlevel point in
+                let region = Fingers.region ~bits:(Space.bits space) ~level:t.rlevel point in
                 let steward =
                   Fingers.steward ~snodes:(Array.length t.snodes) ~region
                 in
@@ -1422,7 +1422,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
         if dst = sn.sid then
           (* Our own cache points at us but we do not own the point: the
              placement is in flight; back off. *)
-          Engine.schedule t.engine ~delay:t.backoff (fun () ->
+          Engine.schedule t.engine ~delay:backoff (fun () ->
               with_ctx t ctx (fun () -> deliver_local t sn msg))
         else send t ~src:sn.sid ~dst msg
       end
@@ -1501,9 +1501,9 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
           (* Transient: the group identity is switching (between Prepare
              and Commit). Back off and retry the lookup. *)
           t.retried <- t.retried + 1;
-          if t.faults = None && retries >= t.max_retries then
+          if t.faults = None && retries >= max_retries then
             failwith "Runtime: group resolution failed to converge";
-          Engine.schedule t.engine ~delay:t.backoff (fun () ->
+          Engine.schedule t.engine ~delay:backoff (fun () ->
               deliver_local t sn
                 (Wire.Routed
                    { point; hops = 0; retries = retries + 1; origin; op }))
@@ -1563,7 +1563,7 @@ and start_qput_admitted t sn ~token ~key ~point ~set cell =
   | Q_put p ->
       p.q_hint <-
         Some
-          (Engine.schedule_cancellable t.engine ~delay:t.handoff_timeout
+          (Engine.schedule_cancellable t.engine ~delay:handoff_timeout
              (fun () -> fire_hints t sn q))
   | Q_get _ -> ());
   List.iter
@@ -1664,7 +1664,7 @@ and fire_hints t sn q =
        with no recovery coming, or we crashed ourselves) nothing else
        will ever close this quorum — give it one more window, then
        settle it. *)
-    Engine.schedule t.engine ~delay:t.handoff_timeout (fun () ->
+    Engine.schedule t.engine ~delay:handoff_timeout (fun () ->
         qput_deadline t sn q)
   end
 
@@ -1823,7 +1823,7 @@ and start_range t sn ~token ~lo ~hi =
   Hashtbl.replace sn.ranges token st;
   List.iter
     (fun (span, set) ->
-      let s = Span.start t.space span and e = Span.stop t.space span in
+      let s = Span.start space span and e = Span.stop space span in
       if s < hi && e > lo then begin
         let rl_lo = max s lo and rl_hi = min e hi in
         let leg =
@@ -1839,7 +1839,7 @@ and start_range t sn ~token ~lo ~hi =
         Hashtbl.replace st.r_legs rl_lo leg;
         st.r_open <- st.r_open + 1
       end)
-    (if lo < hi then Point_map.overlapping sn.rmap (covering_span t.space ~lo ~hi)
+    (if lo < hi then Point_map.overlapping sn.rmap (covering_span space ~lo ~hi)
      else []);
   if st.r_open = 0 then finish_range t sn st
   else begin
@@ -1940,7 +1940,7 @@ and ae_frame_compare t sn ~dst (span, count, hash, leaf) =
   let mine = Merkle.frame_at (mtree t sn) span in
   if mine.Merkle.f_count = count && mine.Merkle.f_hash = hash then None
   else if
-    leaf || mine.Merkle.f_leaf || Span.level span >= Space.max_level t.space
+    leaf || mine.Merkle.f_leaf || Span.level span >= Space.max_level space
   then begin
     let keys =
       List.map (fun (k, d, _) -> (k, d)) (Merkle.entries_at (mtree t sn) span)
@@ -2123,7 +2123,7 @@ and arm_watchdog t sn ev st =
   if t.faults <> None then
     st.ev_watch <-
       Some
-        (Engine.schedule_cancellable t.engine ~delay:t.event_timeout
+        (Engine.schedule_cancellable t.engine ~delay:event_timeout
            (fun () ->
              if Hashtbl.mem sn.events ev then begin
                if sn.alive then begin
@@ -2179,14 +2179,14 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
   install_spans sn v spans;
   List.iter
     (fun (key, cell) ->
-      let point = Hash.string t.space key in
+      let point = Hash.string space key in
       match Cells.find v.data ~point ~key with
       | None -> Cells.add v.data ~point ~key cell
       | Some s -> Cells.set_cell s (Versioned.merge ~mine:(Cells.cell s) ~theirs:cell))
     data;
   (* Cells we already replicated for these spans move into the partition
      table, so the owner's holdings (and digests) see one copy. *)
-  absorb_replica_cells t sn v spans;
+  absorb_replica_cells sn v spans;
   List.iter (fun s -> cache_learn t sn s to_vnode) spans;
   match Hashtbl.find_opt sn.incomings event with
   | None -> failwith "Runtime: transfer applied without expectation"
@@ -2306,7 +2306,7 @@ and apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode =
     else pick_span t ~hottest:false v.spans
   in
   let receiver = if hosts_from then to_vnode else from_vnode in
-  let data = donate_span t sn v span in
+  let data = donate_span sn v span in
   send t ~src:sn.sid ~dst:receiver.Vnode_id.snode
     (Wire.Transfer { event; to_vnode = receiver; spans = [ span ]; data });
   let reps =
@@ -2464,7 +2464,7 @@ and apply_remove_prepare t sn ~from ~event ~group ~leaving ~epoch_before
     (fun { Plan.src; dst; n } ->
       if src.Vnode_id.snode = sn.sid then begin
         let v = local_exn sn src in
-        let spans, data = donate_spans t sn v n in
+        let spans, data = donate_spans sn v n in
         send t ~src:sn.sid ~dst:dst.Vnode_id.snode
           (Wire.Transfer { event; to_vnode = dst; spans; data });
         let reps =
@@ -2505,7 +2505,7 @@ and apply_prepare t sn ~from (p : Wire.prepare) =
     List.iter
       (fun id ->
         if id.Vnode_id.snode = sn.sid && not (Vnode_id.equal id p.Wire.newcomer)
-        then split_all_local t sn (local_exn sn id))
+        then split_all_local sn (local_exn sn id))
       target_member_ids;
   (* Newcomer instantiation. *)
   if p.Wire.newcomer.Vnode_id.snode = sn.sid then begin
@@ -2514,7 +2514,7 @@ and apply_prepare t sn ~from (p : Wire.prepare) =
         vid = p.Wire.newcomer;
         group = p.Wire.target;
         spans = [];
-        data = Cells.create t.space;
+        data = Cells.create space;
       };
     Hashtbl.replace sn.incomings p.Wire.event
       { got = 0; want = p.Wire.donor_batches; coordinator = from };
@@ -2534,7 +2534,7 @@ and apply_prepare t sn ~from (p : Wire.prepare) =
     (fun { Plan.donor; give } ->
       if donor.Vnode_id.snode = sn.sid then begin
         let v = local_exn sn donor in
-        let spans, data = donate_spans t sn v give in
+        let spans, data = donate_spans sn v give in
         send t ~src:sn.sid ~dst:p.Wire.newcomer.Vnode_id.snode
           (Wire.Transfer
              { event = p.Wire.event; to_vnode = p.Wire.newcomer; spans; data });
@@ -2637,8 +2637,8 @@ and apply_commit t sn ~moved ev =
           if fev < ev then begin
             let part = if Span.level fs > Span.level s then fs else s in
             cache_learn t sn part owner;
-            rmap_learn t sn part reps;
-            map_learn t.space sn.pfence part ev
+            rmap_learn sn part reps;
+            Point_map.learn sn.pfence part ev
           end)
         (Point_map.overlapping sn.pfence s))
     moved;
@@ -2756,7 +2756,7 @@ and handle t sn ~from msg =
               (* Group identity switching (between Prepare and Commit):
                  retry shortly. *)
               t.retried <- t.retried + 1;
-              Engine.schedule t.engine ~delay:t.backoff (fun () ->
+              Engine.schedule t.engine ~delay:backoff (fun () ->
                   deliver_local t sn msg)
           | Some lpdr ->
               let manager = manager_of lpdr in
@@ -2888,18 +2888,18 @@ and handle t sn ~from msg =
         ~bytes:(String.length key + Versioned.size_bytes cell);
       ignore (store_replica sn ~point ~key cell)
   | Wire.Repl_digest { span; count; vhash } ->
-      let my_count, my_vhash = span_digest t sn span in
+      let my_count, my_vhash = span_digest sn span in
       if my_count <> count || my_vhash <> vhash then
         send t ~src:sn.sid ~dst:from (Wire.Repl_sync_request { span })
   | Wire.Repl_sync_request { span } ->
-      let cells = span_cells t sn span in
+      let cells = span_cells sn span in
       t.ae_keys_sent <- t.ae_keys_sent + List.length cells;
       send t ~src:sn.sid ~dst:from (Wire.Repl_sync { span; cells; reply = true })
   | Wire.Repl_sync { span; cells; reply } ->
       let fresher = ref [] in
       List.iter
         (fun (key, cell) ->
-          let point = Hash.string t.space key in
+          let point = Hash.string space key in
           (match replica_lookup sn ~point ~key with
           | Some mine
             when Versioned.newer mine.Versioned.version cell.Versioned.version
@@ -2921,7 +2921,7 @@ and handle t sn ~from msg =
           (fun (key, cell) ->
             if not (Hashtbl.mem theirs key) then
               fresher := (key, cell) :: !fresher)
-          (span_cells t sn span);
+          (span_cells sn span);
         if !fresher <> [] then begin
           t.ae_keys_sent <- t.ae_keys_sent + List.length !fresher;
           send t ~src:sn.sid ~dst:from
@@ -2945,7 +2945,7 @@ and handle t sn ~from msg =
       let frames =
         List.concat_map
           (fun s ->
-            if Span.level s >= Space.max_level t.space then begin
+            if Span.level s >= Space.max_level space then begin
               let f = Merkle.frame_at tree s in
               [ (s, f.Merkle.f_count, f.Merkle.f_hash, true) ]
             end
@@ -3010,7 +3010,7 @@ and handle t sn ~from msg =
       let cells =
         List.filter_map
           (fun key ->
-            let point = Hash.string t.space key in
+            let point = Hash.string space key in
             Option.map (fun c -> (key, c)) (replica_lookup sn ~point ~key))
           keys
       in
@@ -3039,7 +3039,7 @@ and handle t sn ~from msg =
         sn.hints []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       |> List.iter (fun (key, cell) ->
-             let point = Hash.string t.space key in
+             let point = Hash.string space key in
              send t ~src:sn.sid ~dst:from (Wire.Hint_flush { key; point; cell }));
       ae_push_for t sn ~target:from
   | Wire.Lpdr_pull { group } ->
@@ -3196,7 +3196,7 @@ let crash_snode t sid =
     | Some tbl ->
         Hashtbl.fold (fun span _ acc -> span :: acc) tbl []
         |> List.iter (fun span ->
-               match Point_map.find_point sn.owned (Span.start t.space span) with
+               match Point_map.find_point sn.owned (Span.start space span) with
                | _ -> Hashtbl.remove tbl span
                | exception Not_found -> ())
     | None -> ());
@@ -3438,7 +3438,7 @@ let arm_balancer t ~until =
 let route_refresh_round t =
   if t.route_cap > 0 then begin
     let n = Array.length t.snodes in
-    let bits = Space.bits t.space in
+    let bits = Space.bits space in
     Array.iter
       (fun sn ->
         if sn.alive then begin
@@ -3449,7 +3449,7 @@ let route_refresh_round t =
                 (fun span ->
                   let region0 =
                     Fingers.region ~bits ~level:t.rlevel
-                      (Span.start t.space span)
+                      (Span.start space span)
                   in
                   let covered =
                     let l = Span.level span in
@@ -3500,15 +3500,13 @@ let arm_route_refresh t ~interval ~until =
 (* ------------------------------------------------------------------ *)
 (* Construction and public API                                          *)
 
-let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
-    ?(approach = Local { vmin = 16 }) ?faults ?(max_retries = 50)
-    ?(backoff = 1e-3) ?(rto = 1e-3) ?(rto_cap = 0.05) ?(retry_budget = 0)
+let create ?(link = Network.gigabit) ?(pmin = 32)
+    ?(approach = Local { vmin = 16 }) ?faults ?(rto = 1e-3) ?(retry_budget = 0)
     ?(adaptive_rto = false) ?(max_inflight = 0) ?(admission_deadline = 0.)
-    ?(ingress_limit = 0) ?(poison_after = 5) ?(event_timeout = 1.0)
-    ?(rfactor = 1) ?(read_quorum = 1) ?(write_quorum = 1)
-    ?(handoff_timeout = 0.02) ?(linger = 0.) ?(mt_threshold = 128)
-    ?(mt_leaf = 16) ?metrics ?(trace = Trace.noop) ?(causal = false)
-    ?(heat = false) ?(heat_tau = 1.0) ?balance ?(route_cap = 0)
+    ?(ingress_limit = 0) ?(rfactor = 1) ?(read_quorum = 1) ?(write_quorum = 1)
+    ?(linger = 0.) ?(mt_threshold = 128) ?(mt_leaf = 16) ?metrics
+    ?(trace = Trace.noop) ?(causal = false) ?(heat = false) ?(heat_tau = 1.0)
+    ?balance ?(route_cap = 0)
     ?(max_hops = default_max_hops) ~snodes ~seed () =
   if snodes < 1 then invalid_arg "Runtime.create: need at least one snode";
   if max_hops < 1 then invalid_arg "Runtime.create: max_hops < 1";
@@ -3524,11 +3522,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   let heat = heat || balance <> None in
   if not (Params.is_power_of_two pmin) then
     invalid_arg "Runtime.create: pmin must be a power of two";
-  if max_retries < 1 then invalid_arg "Runtime.create: max_retries < 1";
-  if poison_after < 1 then invalid_arg "Runtime.create: poison_after < 1";
-  if backoff <= 0. || rto <= 0. || event_timeout <= 0. then
-    invalid_arg "Runtime.create: delays must be positive";
-  if rto_cap < rto then invalid_arg "Runtime.create: rto_cap < rto";
+  if rto <= 0. then invalid_arg "Runtime.create: rto must be positive";
+  if rto > rto_cap then invalid_arg "Runtime.create: rto exceeds rto_cap";
   if retry_budget < 0 then invalid_arg "Runtime.create: retry_budget < 0";
   if max_inflight < 0 then invalid_arg "Runtime.create: max_inflight < 0";
   if ingress_limit < 0 then invalid_arg "Runtime.create: ingress_limit < 0";
@@ -3537,8 +3532,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   Params.check_quorum ~rfactor ~read_quorum ~write_quorum;
   if rfactor > snodes then
     invalid_arg "Runtime.create: rfactor exceeds the snode count";
-  if handoff_timeout <= 0. then
-    invalid_arg "Runtime.create: handoff_timeout must be positive";
   if mt_threshold < 0 then invalid_arg "Runtime.create: mt_threshold < 0";
   if mt_leaf < 1 then invalid_arg "Runtime.create: mt_leaf < 1";
   if linger < 0. || not (Float.is_finite linger) then
@@ -3664,26 +3657,19 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       engine;
       net;
       faults;
-      space;
       pmin;
       vmax;
-      max_retries;
-      backoff;
       rto;
-      rto_cap;
       retry_budget;
       adaptive_rto;
       max_inflight;
       admission_deadline;
-      poison_after;
-      event_timeout;
       rfactor;
       route_cap;
       max_hops;
       rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
       read_quorum;
       write_quorum;
-      handoff_timeout;
       linger;
       mt_threshold;
       mt_leaf;
@@ -3823,28 +3809,35 @@ let overload_stats (t : t) =
 (* Store-table audit: every table must be structurally sound
    ([Cells.check]), and every slot's cached point must be its key's hash —
    the point-ordered tables trust that cache for placement, range legs and
-   transfers, so it is re-derived here rather than assumed. *)
+   transfers, so it is re-derived here rather than assumed. Data placement
+   reads the same cached points, so the battery over a {!View} never needs
+   the cell values. *)
 let store_audit t =
   let issues = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
-  let table sid name tbl =
-    List.iter (fun issue -> fail "snode %d %s: %s" sid name issue) (Cells.check tbl);
+  let add issue = issues := issue :: !issues in
+  let table sid name ~owns tbl =
+    let fail fmt =
+      Format.kasprintf (fun d -> add (Printf.sprintf "STORE: snode %d %s: %s" sid name d)) fmt
+    in
+    List.iter (fail "%s") (Cells.check tbl);
     Cells.iter
       (fun s ->
         let key = Cells.key s and point = Cells.point s in
-        let h = Hash.string t.space key in
-        if h <> point then
-          fail "snode %d %s: key %S cached at point %d, hashes to %d" sid name
-            key point h)
+        let h = Hash.string space key in
+        if h <> point then fail "key %S cached at point %d, hashes to %d" key point h;
+        Option.iter add (owns ~key point))
       tbl
   in
   Array.iter
     (fun sn ->
-      table sn.sid "replicas" sn.replicas;
+      table sn.sid "replicas" ~owns:(fun ~key:_ _ -> None) sn.replicas;
       Vtbl.fold (fun vid v acc -> (vid, v) :: acc) sn.locals []
       |> List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b)
       |> List.iter (fun (vid, v) ->
-             table sn.sid (Format.asprintf "data of %a" Vnode_id.pp vid) v.data))
+             table sn.sid
+               (Format.asprintf "data of %a" Vnode_id.pp vid)
+               ~owns:(View.placement ~space ~sid:sn.sid ~vid v.spans)
+               v.data))
     t.snodes;
   List.rev !issues
 
@@ -3930,7 +3923,7 @@ let heat_rows t =
       |> List.map (fun (span, e) ->
              {
                hr_span = span;
-               hr_owner = owner_of_point t (Span.start t.space span);
+               hr_owner = owner_of_point t (Span.start space span);
                hr_reads = Heat.value e.h_read ~now;
                hr_writes = Heat.value e.h_write ~now;
                hr_repl = Heat.value e.h_repl ~now;
@@ -4030,7 +4023,6 @@ let route_cache_stats t =
 
 let route_cache_entries t sid = Point_map.cardinal t.snodes.(sid).cache
 let route_hops t = Array.copy t.hop_counts
-let route_hops_peak t = t.hops_peak
 
 (* One post-run dump of every counter the engine, network and runtime kept
    on their own. Histograms registered at [create] are already in the
@@ -4135,7 +4127,7 @@ let create_vnode t ?initiator ~id () =
   t.pending <- t.pending + 1;
   let sn = t.snodes.(origin) in
   Engine.schedule t.engine ~delay:0. (fun () ->
-      let point = Rng.int sn.rng (Space.size t.space) in
+      let point = Rng.int sn.rng (Space.size space) in
       deliver_local t sn
         (Wire.Routed
            { point; hops = 0; retries = 0; origin;
@@ -4170,7 +4162,7 @@ let put t ?(via = 0) ?on_done ~key ~value () =
   record t
     (Oplog.Invoke
        { token; via; op = Oplog.Op_put { key; value }; at = Engine.now t.engine });
-  let point = Hash.string t.space key in
+  let point = Hash.string space key in
   Engine.schedule t.engine ~delay:0. (fun () ->
       causal_root t ~token ~tid:via
         ~op:(if t.rfactor > 1 then "qput" else "put")
@@ -4194,7 +4186,7 @@ let get t ?(via = 0) ~key k =
   record t
     (Oplog.Invoke
        { token; via; op = Oplog.Op_get { key }; at = Engine.now t.engine });
-  let point = Hash.string t.space key in
+  let point = Hash.string space key in
   Engine.schedule t.engine ~delay:0. (fun () ->
       causal_root t ~token ~tid:via
         ~op:(if t.rfactor > 1 then "qget" else "get")
@@ -4208,7 +4200,7 @@ let get t ?(via = 0) ~key k =
                  op = Wire.Op_get { key; token } }))
 
 let range_get t ?(via = 0) ~lo ~hi k =
-  if lo < 0 || hi > Space.size t.space || lo > hi then
+  if lo < 0 || hi > Space.size space || lo > hi then
     invalid_arg "Runtime.range_get: bad range bounds";
   let token = fresh_token t (Cb_range k) in
   t.pending <- t.pending + 1;
@@ -4230,7 +4222,7 @@ let range_get t ?(via = 0) ~lo ~hi k =
 (* Synchronous test oracle: the authoritative copy at the partition owner,
    read without any messaging. *)
 let peek t ~key =
-  let point = Hash.string t.space key in
+  let point = Hash.string space key in
   let rec scan sid =
     if sid >= Array.length t.snodes then None
     else
@@ -4258,7 +4250,7 @@ let plant t ~snode ?(origin = -1) ~key ~value ~ts () =
     invalid_arg "Runtime.plant: snode out of range";
   let origin = if origin < 0 then snode else origin in
   let sn = t.snodes.(snode) in
-  let point = Hash.string t.space key in
+  let point = Hash.string space key in
   ignore (store_replica sn ~point ~key (Versioned.cell ~value ~ts ~origin ()))
 
 (* Hash-tree consistency audit over every live snode: a fresh snapshot
@@ -4278,7 +4270,7 @@ let merkle_audit t =
         List.iter
           (fun (span, _) ->
             let f = Merkle.frame_at tree span in
-            let count, vhash = span_digest t sn span in
+            let count, vhash = span_digest sn span in
             if f.Merkle.f_count <> count || f.Merkle.f_hash <> vhash then
               bad
                 "snode %d span %a: tree frame (%d, %x) <> scan digest (%d, %x)"
@@ -4306,10 +4298,10 @@ let replica_divergence t =
               match live with
               | [] | [ _ ] -> ()
               | first :: rest ->
-                  let ref_digest = span_digest t t.snodes.(first) span in
+                  let ref_digest = span_digest t.snodes.(first) span in
                   List.iter
                     (fun sid ->
-                      let d = span_digest t t.snodes.(sid) span in
+                      let d = span_digest t.snodes.(sid) span in
                       if d <> ref_digest then
                         bad "span %a: snode %d digest %x/%d <> snode %d %x/%d"
                           Span.pp span sid (snd d) (fst d) first
@@ -4354,7 +4346,6 @@ let remove_vnode t ?(via = 0) ~id k =
 let run ?until t = Engine.run ?until t.engine
 let pending_operations t = t.pending
 let completed_creations t = t.done_creations
-let completed_removals t = t.done_removals
 let completed_puts t = t.done_puts
 let completed_gets t = t.done_gets
 let completed_ranges t = t.done_ranges
@@ -4388,128 +4379,16 @@ let sigma_qv t =
     List.map
       (fun v ->
         Dht_stats.Descriptive.sum
-          (Array.of_list (List.map (Span.quota t.space) v.spans)))
+          (Array.of_list (List.map (Span.quota space) v.spans)))
       locals
     |> Array.of_list
   in
   Metrics.sigma_percent quotas
 
-let audit t =
-  let issues = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
-  let locals = all_locals t in
-  (* G1': global coverage of the union of all local partitions. *)
-  (match Coverage.check t.space (List.concat_map (fun v -> v.spans) locals) with
-  | Ok () -> ()
-  | Error e -> fail "coverage: %a" Coverage.pp_error e);
-  (* Gather the LPDR copies per group, from the snodes hosting members. *)
-  let views = Gtbl.create 16 in
-  Array.iter
-    (fun sn ->
-      Gtbl.iter
-        (fun gid lp ->
-          Gtbl.replace views gid ((sn.sid, lp) :: Option.value ~default:[] (Gtbl.find_opt views gid)))
-        sn.lpdrs)
-    t.snodes;
-  let group_count = Gtbl.length views in
-  let vmax = t.vmax in
-  Gtbl.iter
-    (fun gid copies ->
-      (match copies with
-      | [] -> ()
-      | (_, ref_lp) :: rest ->
-          List.iter
-            (fun (sid, lp) ->
-              if lp.level <> ref_lp.level then
-                fail "group %a: snode %d sees level %d, others %d" Group_id.pp
-                  gid sid lp.level ref_lp.level;
-              if lp.epoch <> ref_lp.epoch then
-                fail "group %a: snode %d at epoch %d, others %d" Group_id.pp
-                  gid sid lp.epoch ref_lp.epoch;
-              if lp.counts <> ref_lp.counts then
-                fail "group %a: snode %d has a divergent LPDR copy" Group_id.pp
-                  gid sid)
-            rest;
-          (* L2 (with the sole-group exception). *)
-          let vg = List.length ref_lp.counts in
-          if group_count = 1 then begin
-            if vg < 1 || vg > vmax then
-              fail "L2: sole group %a has Vg=%d" Group_id.pp gid vg
-          end
-          else if vg < vmax / 2 || vg > vmax then
-            fail "L2: group %a has Vg=%d outside [%d, %d]" Group_id.pp gid vg
-              (vmax / 2) vmax;
-          (* G2'/G4' plus LPDR-vs-reality agreement. *)
-          let total = List.fold_left (fun acc (_, c) -> acc + c) 0 ref_lp.counts in
-          if not (Params.is_power_of_two total) then
-            fail "G2: group %a has %d partitions" Group_id.pp gid total;
-          List.iter
-            (fun (id, c) ->
-              if c < t.pmin || c > 2 * t.pmin then
-                fail "G4: group %a vnode %a count %d" Group_id.pp gid
-                  Vnode_id.pp id c;
-              let owner_sn = t.snodes.(id.Vnode_id.snode) in
-              match Vtbl.find_opt owner_sn.locals id with
-              | None -> fail "L1: %a in LPDR of %a but not hosted" Vnode_id.pp id Group_id.pp gid
-              | Some v ->
-                  if List.length v.spans <> c then
-                    fail "LPDR: %a registered with %d partitions, owns %d"
-                      Vnode_id.pp id c (List.length v.spans);
-                  if not (Group_id.equal v.group gid) then
-                    fail "L1: %a group field %a but listed in %a" Vnode_id.pp
-                      id Group_id.pp v.group Group_id.pp gid;
-                  List.iter
-                    (fun s ->
-                      if Span.level s <> ref_lp.level then
-                        fail "G3: %a has %a at level <> %d" Vnode_id.pp id
-                          Span.pp s ref_lp.level)
-                    v.spans)
-            ref_lp.counts;
-          (* Removal-tolerant G5: power-of-two population, equal counts. *)
-          if Params.is_power_of_two vg then begin
-            match ref_lp.counts with
-            | (_, c0) :: _ ->
-                List.iter
-                  (fun (_, c) ->
-                    if c <> c0 then
-                      fail "G5: group %a uneven at Vg=%d" Group_id.pp gid vg)
-                  ref_lp.counts
-            | [] -> ()
-          end))
-    views;
-  (* Every routing cache must still cover the whole range, and — when
-     bounded routing is armed — respect the entry cap. *)
-  Array.iter
-    (fun sn ->
-      (match Coverage.check t.space (Point_map.spans sn.cache) with
-      | Ok () -> ()
-      | Error e -> fail "snode %d cache: %a" sn.sid Coverage.pp_error e);
-      if t.route_cap > 0 && Point_map.cardinal sn.cache > t.route_cap then
-        fail "snode %d cache: %d entries exceed the cap %d" sn.sid
-          (Point_map.cardinal sn.cache) t.route_cap)
-    t.snodes;
-  (* Data placement: every key lives with the owner of its hash point. *)
-  Array.iter
-    (fun sn ->
-      Vtbl.iter
-        (fun vid v ->
-          Cells.iter
-            (fun s ->
-              let key = Cells.key s and point = Cells.point s in
-              if not (List.exists (fun s -> Span.contains t.space s point) v.spans)
-              then
-                fail "data: key %S stored at %a which does not own it" key
-                  Vnode_id.pp vid)
-            v.data)
-        sn.locals)
-    t.snodes;
-  List.iter (fun issue -> fail "%s" issue) (store_audit t);
-  match !issues with [] -> Ok () | l -> Error (List.rev l)
-
 (* ------------------------------------------------------------------ *)
 (* Verification hooks                                                   *)
 
-let space t = t.space
+let space (_ : t) = space
 let pmin t = t.pmin
 let vmax t = t.vmax
 let set_on_commit t f = t.on_commit <- f
@@ -4532,58 +4411,21 @@ let flush_lingering t =
                flush_obuf t sn ob))
     t.snodes
 
-(* A [View] is the cluster's logical state as pure, canonically-ordered
-   data: what the paper's invariants and the schedule-transparency tests
-   quantify over. Version stamps are deliberately excluded — they embed
-   virtual timestamps, which shift under batching even when the logical
-   state is identical. *)
-module View = struct
-  type lpdr_copy = {
-    group : Group_id.t;
-    level : int;
-    epoch : int;
-    counts : (Vnode_id.t * int) list;
-  }
+(* The cluster's logical state as a {!View.t}. Version stamps are left
+   out: they embed virtual timestamps, which shift under batching even
+   when the logical state is identical. *)
+module View = View
 
-  type vnode_view = {
-    vid : Vnode_id.t;
-    group : Group_id.t;
-    spans : Span.t list;
-    data : (string * string) list;
-  }
-
-  type snode_view = {
-    sid : int;
-    up : bool;
-    vnodes : vnode_view list;
-    lpdrs : lpdr_copy list;
-    cache : (Span.t * Vnode_id.t) list;
-    rmap : (Span.t * int list) list;
-    replicas : (string * string) list;
-    hints : int;
-  }
-
-  type t = { at : float; snodes : snode_view list }
-
-  (* Structural equality of the logical state; the clock is ignored. *)
-  let equal a b = a.snodes = b.snodes
-
-  let pp ppf v =
-    List.iter
-      (fun sn ->
-        Format.fprintf ppf "snode %d%s: %d vnodes, %d keys, %d replicas, %d hints@."
-          sn.sid
-          (if sn.up then "" else " (down)")
-          (List.length sn.vnodes)
-          (List.fold_left (fun acc vn -> acc + List.length vn.data) 0 sn.vnodes)
-          (List.length sn.replicas) sn.hints)
-      v.snodes
-end
-
-let view t =
+(* One snode's view. [~data:false] leaves its key/value lists empty and
+   [~maps:false] its routing-cache and replica-map lists: the audit reads
+   data placement off the store tables and checks the maps one snode at a
+   time, so it never holds a copy of every cell or of every replica map. *)
+let snode_view ~data ~maps sn =
   let kv_sorted tbl =
-    Cells.fold (fun s acc -> (Cells.key s, (Cells.cell s).Versioned.value) :: acc) tbl []
-    |> List.sort compare
+    if not data then []
+    else
+      Cells.fold (fun s acc -> (Cells.key s, (Cells.cell s).Versioned.value) :: acc) tbl []
+      |> List.sort compare
   in
   let vnode_of v =
     {
@@ -4593,34 +4435,55 @@ let view t =
       data = kv_sorted v.data;
     }
   in
-  let snode_of sn =
-    {
-      View.sid = sn.sid;
-      up = sn.alive;
-      vnodes =
-        Vtbl.fold (fun _ v acc -> vnode_of v :: acc) sn.locals []
-        |> List.sort (fun a b -> Vnode_id.compare a.View.vid b.View.vid);
-      lpdrs =
-        Gtbl.fold
-          (fun gid lp acc ->
-            {
-              View.group = gid;
-              level = lp.level;
-              epoch = lp.epoch;
-              counts =
-                List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b) lp.counts;
-            }
-            :: acc)
-          sn.lpdrs []
-        |> List.sort (fun (a : View.lpdr_copy) (b : View.lpdr_copy) ->
-               Group_id.compare a.group b.group);
-      cache = Point_map.to_list sn.cache;
-      rmap = Point_map.to_list sn.rmap;
-      replicas = kv_sorted sn.replicas;
-      hints = Hashtbl.length sn.hints;
-    }
-  in
+  {
+    View.sid = sn.sid;
+    up = sn.alive;
+    vnodes =
+      Vtbl.fold (fun _ v acc -> vnode_of v :: acc) sn.locals []
+      |> List.sort (fun a b -> Vnode_id.compare a.View.vid b.View.vid);
+    lpdrs =
+      Gtbl.fold
+        (fun gid lp acc ->
+          {
+            View.group = gid;
+            level = lp.level;
+            epoch = lp.epoch;
+            counts = List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b) lp.counts;
+          }
+          :: acc)
+        sn.lpdrs []
+      |> List.sort (fun (a : View.lpdr_copy) (b : View.lpdr_copy) ->
+             Group_id.compare a.group b.group);
+    cache = (if maps then Point_map.to_list sn.cache else []);
+    rmap = (if maps then Point_map.to_list sn.rmap else []);
+    replicas = kv_sorted sn.replicas;
+    hints = Hashtbl.length sn.hints;
+  }
+
+let view t =
   {
     View.at = Engine.now t.engine;
-    snodes = Array.to_list t.snodes |> List.map snode_of;
+    snodes = Array.to_list t.snodes |> List.map (snode_view ~data:true ~maps:true);
   }
+
+(* [View.check] in two passes over the snodes, see [snode_view]. *)
+let audit t =
+  let snodes = Array.to_list t.snodes in
+  let space = space t in
+  let groups =
+    {
+      View.at = Engine.now t.engine;
+      snodes = List.map (snode_view ~data:false ~maps:false) snodes;
+    }
+  in
+  match
+    View.check_groups ~space ~pmin:t.pmin ~vmax:t.vmax groups
+    @ List.concat_map
+        (fun sn ->
+          View.check_snode ~space ~route_cap:t.route_cap
+            (snode_view ~data:false ~maps:true sn))
+        snodes
+    @ store_audit t
+  with
+  | [] -> Ok ()
+  | issues -> Error issues

@@ -19,8 +19,8 @@
     and lets donors stream partitions (with their keys) straight to the
     newcomer's snode. Creations on different groups proceed concurrently.
 
-    {!audit} gathers the distributed state and verifies global coverage,
-    LPDR-copy convergence, the model invariants and data placement. *)
+    {!audit} snapshots the distributed state ({!view}) and runs the
+    paper's invariant battery over it ({!View.check}). *)
 
 open Dht_core
 module Engine = Dht_event_sim.Engine
@@ -39,26 +39,19 @@ type approach =
           vnode-hosting snode and creations serialize through one queue *)
 
 val create :
-  ?space:Dht_hashspace.Space.t ->
   ?link:Network.link ->
   ?pmin:int ->
   ?approach:approach ->
   ?faults:Fault.t ->
-  ?max_retries:int ->
-  ?backoff:float ->
   ?rto:float ->
-  ?rto_cap:float ->
   ?retry_budget:int ->
   ?adaptive_rto:bool ->
   ?max_inflight:int ->
   ?admission_deadline:float ->
   ?ingress_limit:int ->
-  ?poison_after:int ->
-  ?event_timeout:float ->
   ?rfactor:int ->
   ?read_quorum:int ->
   ?write_quorum:int ->
-  ?handoff_timeout:float ->
   ?linger:float ->
   ?mt_threshold:int ->
   ?mt_leaf:int ->
@@ -77,25 +70,25 @@ val create :
 (** [create ~snodes ~seed ()] builds a cluster of [snodes] snodes. Snode 0
     bootstraps the DHT with vnode [0.0] holding the whole hash range; every
     routing cache starts seeded with that placement. Defaults: [pmin = 32],
-    [approach = Local { vmin = 16 }], gigabit {!Network.link}.
+    [approach = Local { vmin = 16 }], gigabit {!Network.link}. The hash
+    space is always {!Dht_hashspace.Space.default}.
 
-    [max_retries] (default 50) bounds the routing back-off retries of one
-    operation and [backoff] (default 1 ms) spaces them. The bound is a
-    livelock canary and only enforced on a reliable network — under a
-    fault plan an operation legitimately backs off for as long as a
-    crashed snode stays down, so retries are unbounded (still counted by
-    {!retries}).
+    A routed operation backs off 1 ms between retries and gives up after
+    50 retries (fixed constants). That bound is a livelock canary and only
+    enforced on a reliable network — under a fault plan an operation
+    legitimately backs off for as long as a crashed snode stays down, so
+    retries are unbounded (still counted by {!retries}).
 
     Passing [faults] arms the robustness layer: every remote message is
     carried by a reliable request layer (sequence numbers, acknowledgement,
     deduplication, retransmission with exponential backoff between [rto]
-    (default 1 ms) and [rto_cap] (default 50 ms)); a route suffering
-    [poison_after] (default 5) consecutive timeouts is poisoned — new
-    traffic toward it is queued and probed at the capped cadence until the
-    peer answers. Balancing events carry a liveness watchdog re-armed every
-    [event_timeout] (default 1 s). The plan's crash schedule is installed on
-    the engine ({!Fault.crash_plan}); every crash must name a restart time
-    or retransmission toward the dead snode never ends. Without [faults]
+    (default 1 ms, at most 50 ms) and a fixed 50 ms cap); a route suffering
+    5 consecutive timeouts is poisoned — new traffic toward it is queued
+    and probed at the capped cadence until the peer answers. Balancing
+    events carry a liveness watchdog re-armed every second. The plan's
+    crash schedule is installed on the engine ({!Fault.crash_plan}); every
+    crash must name a restart time or retransmission toward the dead snode
+    never ends. Without [faults]
     the runtime behaves {e exactly} as before: same messages, same bytes,
     same clock, same random draws.
 
@@ -103,13 +96,13 @@ val create :
     behaviour bit-for-bit intact. [retry_budget] (default 0: unlimited)
     caps the fast retransmissions of any one reliable message: past the
     budget further attempts still go out — a silently-restarted peer must
-    eventually hear the message — but only at the [rto_cap] cadence, and
+    eventually hear the message — but only at the 50 ms cap cadence, and
     they count as {e probes}, not retransmissions, so
     [retransmits <= retry_budget * reliable_messages] holds by
     construction ({!overload_stats}). [adaptive_rto] (default false)
     replaces the fixed [rto] ladder base with a per-route Jacobson/Karn
     estimate (SRTT + 4·RTTVAR from samples of never-retransmitted
-    messages, floored at [rto], capped at [rto_cap]): a gray-failed route
+    messages, floored at [rto], capped at 50 ms): a gray-failed route
     whose true round trip exceeds [rto] stops provoking spurious
     retransmissions. RTT estimates are soft state and die with a crash.
     [max_inflight] (default 0: unbounded) bounds each peer's transmission
@@ -120,13 +113,14 @@ val create :
     that estimates it cannot assemble the quorum within the deadline —
     from per-route smoothed RTTs scaled by queue pressure and the route's
     graded suspicion level (its timeout strike count, the same scale whose
-    top is [poison_after]) — sheds the operation {e before} touching any
-    replica and answers the origin with an explicit {!Wire.Busy}; the op
-    settles immediately as unacknowledged (a put's [on_done] never fires,
-    a get answers [None]), never a silent drop. [ingress_limit] (default
-    0: unbounded) bounds every snode's network ingress queue
-    ({!Network.set_ingress_limit}): overload becomes explicit loss for the
-    reliable layer to absorb, instead of an ever-growing event queue.
+    top is the poisoning threshold) — sheds the operation {e before}
+    touching any replica and answers the origin with an explicit
+    {!Wire.Busy}; the op settles immediately as unacknowledged (a put's
+    [on_done] never fires, a get answers [None]), never a silent drop.
+    [ingress_limit] (default 0: unbounded) bounds every snode's network
+    ingress queue ({!Network.set_ingress_limit}): overload becomes explicit
+    loss for the reliable layer to absorb, instead of an ever-growing
+    event queue.
 
     [rfactor] (default 1: replication off, the original single-copy
     behaviour) keeps every partition on [rfactor] distinct snodes —
@@ -137,8 +131,8 @@ val create :
     [read_quorum] replicas answer (the freshest version wins and stale
     repliers are read-repaired). [read_quorum + write_quorum > rfactor] is
     enforced ({!Dht_core.Params.check_quorum}). A put still short of W
-    after [handoff_timeout] (default 20 ms) hints the silent replicas'
-    copies to their ring successors (sloppy quorum); the fallback drains
+    after 20 ms hints the silent replicas' copies to their ring successors
+    (sloppy quorum); the fallback drains
     the hint to its owner when it restarts. A put that cannot assemble W
     even through fallbacks settles as failed one window later ([on_done]
     is never invoked, so the write counts as unacknowledged). Replica
@@ -238,8 +232,9 @@ val create :
     bouncing through more than [max_hops] stale-cache hops backs off and
     retries. Raise it together with [route_cap] at cluster scale so the
     hop distribution is observable rather than truncated by retries.
-    @raise Invalid_argument if [snodes < 1], a parameter is out of range,
-    or the crash plan names an unknown snode. *)
+    @raise Invalid_argument if [snodes < 1], a parameter is out of range
+    (including [rto] above the 50 ms cap), or the crash plan names an
+    unknown snode. *)
 
 val engine : t -> Engine.t
 
@@ -308,9 +303,6 @@ val pending_operations : t -> int
 (** Creations and data operations issued but not yet completed. *)
 
 val completed_creations : t -> int
-
-val completed_removals : t -> int
-(** Departures resolved (accepted or refused). *)
 
 val completed_puts : t -> int
 
@@ -507,22 +499,6 @@ val peer_samples : t -> peer_sample list
 
 (** {2 Active load balancing} *)
 
-val lb_gossip_round : t -> unit
-(** One push-pull gossip round: every live snode refreshes its own load
-    summary under a fresh version stamp and pushes its whole view to
-    [fanout] distinct random peers; each recipient merges (version-fenced)
-    and replies with its own view. Requires [create ~balance]. *)
-
-val lb_report_round : t -> unit
-(** One directory-report round: every live snode sends its fresh summary
-    to its hash-located directory snode. Requires [create ~balance]. *)
-
-val lb_balance_round : t -> unit
-(** One balance round: every live directory snode classifies reporters
-    into light/heavy against the cluster-average heat and proposes a
-    hot-partition swap from the k-th heaviest toward the k-th lightest,
-    rate-limited per heavy snode. Requires [create ~balance]. *)
-
 val arm_balancer : t -> until:float -> unit
 (** Pre-schedule gossip, report and balance rounds at their policy
     cadences up to virtual time [until] — explicit and bounded, like
@@ -597,9 +573,6 @@ val route_hops : t -> int array
     window a measurement. Counts the routed (single-copy) path only —
     quorum rounds do not forward. *)
 
-val route_hops_peak : t -> int
-(** Most forwarding hops any executed routed operation took. *)
-
 val record_metrics : t -> Dht_telemetry.Registry.t -> unit
 (** Dump the scalar counters and gauges — engine ([engine.dispatched],
     [engine.max_pending], [engine.virtual_time]), network totals and
@@ -620,19 +593,19 @@ val sigma_qv : t -> float
     partitions). *)
 
 val audit : t -> (unit, string list) result
-(** Global verification by gathering every snode's slice:
-    - the union of all local partitions tiles [R_h] exactly (G1');
-    - all LPDR copies of a group agree (level, membership, counts);
-    - LPDR counts equal the owners' real partition counts; G2'–G5' and L2
-      hold per group; L1 holds globally;
-    - every routing cache still covers the whole range;
-    - every stored key lives at the vnode owning its hash point;
-    - every {!store_audit} finding. *)
+(** Global verification: {!View.check} with the runtime's [pmin], [vmax]
+    and [route_cap], then {!store_audit}, which checks data placement on
+    the store tables. The battery runs without copying any cell, and
+    builds one snode's routing-cache and replica-map lists at a time. The
+    findings are ["INV: detail"] messages, as
+    {!Dht_check.Invariants.check_runtime} reports them. *)
 
 val store_audit : t -> string list
 (** Audit of every snode's point-ordered store tables (replica copies and
-    each vnode's data): the structural {!Cells.check} of each table, and
-    every slot's cached hash point recomputed from its key. Empty when
+    each vnode's data): the structural {!Cells.check} of each table and
+    every slot's cached hash point recomputed from its key ([STORE]
+    findings), and every vnode key's cached point inside one of its
+    vnode's partitions ([data] findings, {!View.placement}). Empty when
     sound. Costs one hash per stored cell. *)
 
 (** {2 Verification hooks}
@@ -689,46 +662,9 @@ val flush_lingering : t -> unit
     staged. Deterministic, so schedule explorers can inject flush points
     reproducibly. *)
 
-(** The cluster's logical state as pure, canonically-ordered data. Two
-    runs that agree on {!View.equal} views hold the same partitions, group
-    structure, LPDR copies, routing caches, replica maps and key/value
-    contents — version stamps and the clock are excluded, so logically
-    identical states compare equal even when virtual timings differ (e.g.
-    under transmission batching). *)
-module View : sig
-  type lpdr_copy = {
-    group : Dht_core.Group_id.t;
-    level : int;
-    epoch : int;
-    counts : (Dht_core.Vnode_id.t * int) list;
-  }
-
-  type vnode_view = {
-    vid : Dht_core.Vnode_id.t;
-    group : Dht_core.Group_id.t;
-    spans : Dht_hashspace.Span.t list;
-    data : (string * string) list;  (** sorted [(key, value)] *)
-  }
-
-  type snode_view = {
-    sid : int;
-    up : bool;
-    vnodes : vnode_view list;
-    lpdrs : lpdr_copy list;
-    cache : (Dht_hashspace.Span.t * Dht_core.Vnode_id.t) list;
-    rmap : (Dht_hashspace.Span.t * int list) list;
-    replicas : (string * string) list;
-    hints : int;
-  }
-
-  type t = { at : float; snodes : snode_view list }
-
-  val equal : t -> t -> bool
-  (** Structural equality of the logical state; [at] is ignored. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** One summary line per snode. *)
-end
+(** The cluster's logical state as pure, canonically-ordered data, and
+    the invariant battery over it; see {!Dht_snode.View}. *)
+module View = View
 
 val view : t -> View.t
 (** Snapshot the distributed state. Pure observation — no messaging, no

@@ -8,6 +8,9 @@ module Runtime = Dht_snode.Runtime
 module Fault = Dht_event_sim.Fault
 module Invariants = Dht_check.Invariants
 module Schedule = Dht_check.Schedule
+module Scenarios = Dht_check.Scenarios
+module Explorer = Dht_check.Explorer
+module Network = Dht_event_sim.Network
 module Rng = Dht_prng.Rng
 
 let vid ~snode ~vnode = Vnode_id.make ~snode ~vnode
@@ -168,23 +171,65 @@ let build_cluster ?(linger = 0.) ~seed () =
 
 let test_healthy_view_passes () =
   let rt = build_cluster ~seed:3 () in
-  (match Invariants.check_runtime rt with
+  match Invariants.check_runtime rt with
   | [] -> ()
   | fs ->
       Alcotest.failf "healthy cluster flagged:@.%s"
-        (String.concat "\n" (Invariants.to_strings fs)));
-  (* The snapshot battery and the model-level audit agree on health. *)
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error msgs ->
-      Alcotest.failf "Runtime.audit disagrees:@.%s" (String.concat "\n" msgs)
+        (String.concat "\n" (Invariants.to_strings fs))
+
+(* [Runtime.audit] and [Invariants.check_runtime] are one battery: the
+   same findings, in the same order, on a healthy cluster, on a churned
+   one, and on one damaged by a message sunk past an unprotected
+   network (the committed lost-acked-write schedule). *)
+let test_audit_agrees () =
+  let same label rt =
+    let audit = match Runtime.audit rt with Ok () -> [] | Error l -> l in
+    Alcotest.(check (list string))
+      label audit
+      (Invariants.to_strings (Invariants.check_runtime rt));
+    audit
+  in
+  Alcotest.(check (list string))
+    "healthy is clean" [] (same "healthy" (build_cluster ~seed:3 ()));
+  let churned seed ~sink =
+    let sc = Scenarios.kv ~protect:(sink = None) () in
+    let rt = sc.Explorer.build ~seed in
+    Network.set_probe (Runtime.network rt)
+      (Some
+         (fun ~site ~src:_ ~dst:_ ~tag:_ ->
+           if Some site = sink then Network.Sink else Network.Pass));
+    sc.Explorer.drive rt;
+    Runtime.run rt;
+    rt
+  in
+  Alcotest.(check (list string))
+    "churned is clean" [] (same "churned" (churned 5 ~sink:None));
+  Alcotest.(check bool)
+    "damaged is flagged" true
+    (same "damaged" (churned 1 ~sink:(Some 158)) <> [])
 
 let test_tampered_view_detected () =
   let rt = build_cluster ~seed:4 () in
   let v = Runtime.view rt in
   let space = Runtime.space rt in
   let pmin = Runtime.pmin rt and vmax = Runtime.vmax rt in
-  let check v = Invariants.check_view ~space ~pmin ~vmax v in
+  let check ?(route_cap = 0) v =
+    Invariants.check_view ~space ~pmin ~vmax ~route_cap v
+  in
+  let flags ?route_cap inv v =
+    List.exists
+      (fun (f : Invariants.finding) -> f.inv = inv)
+      (check ?route_cap v)
+  in
+  let on_snode sid f =
+    {
+      v with
+      Runtime.View.snodes =
+        List.map
+          (fun (s : Runtime.View.snode_view) -> if s.sid = sid then f s else s)
+          v.Runtime.View.snodes;
+    }
+  in
   Alcotest.(check bool) "untampered passes" true (check v = []);
   (* Tamper 1: delete a vnode from one live snode — coverage breaks. *)
   let drop_vnode (s : Runtime.View.snode_view) =
@@ -192,28 +237,69 @@ let test_tampered_view_detected () =
     | [] -> s
     | _ :: rest -> { s with vnodes = rest }
   in
-  let tampered1 =
-    {
-      v with
-      Runtime.View.snodes =
-        (match v.Runtime.View.snodes with
-        | s :: rest -> drop_vnode s :: rest
-        | [] -> []);
-    }
-  in
-  Alcotest.(check bool) "missing vnode detected" true (check tampered1 <> []);
+  Alcotest.(check bool) "missing vnode detected" true
+    (flags "G1" (on_snode 0 drop_vnode));
   (* Tamper 2: blank a live snode's routing cache — coverage finding. *)
-  let tampered2 =
+  Alcotest.(check bool) "blank cache detected" true
+    (flags "cache" (on_snode 0 (fun s -> { s with cache = [] })));
+  (* Tamper 3: a hole in a replica map. *)
+  Alcotest.(check bool) "replica-map hole detected" true
+    (flags "rmap" (on_snode 0 (fun s -> { s with rmap = List.tl s.rmap })));
+  (* Tamper 4: a hosted vnode missing from every LPDR copy. *)
+  let victim = (List.hd (List.hd v.Runtime.View.snodes).vnodes).vid in
+  let unlisted =
     {
       v with
       Runtime.View.snodes =
         List.map
           (fun (s : Runtime.View.snode_view) ->
-            if s.sid = 0 then { s with cache = [] } else s)
+            {
+              s with
+              lpdrs =
+                List.map
+                  (fun (lp : Runtime.View.lpdr_copy) ->
+                    { lp with counts = List.remove_assoc victim lp.counts })
+                  s.lpdrs;
+            })
           v.Runtime.View.snodes;
     }
   in
-  Alcotest.(check bool) "blank cache detected" true (check tampered2 <> [])
+  Alcotest.(check bool) "vnode listed in no LPDR detected" true
+    (List.exists
+       (fun (f : Invariants.finding) ->
+         f.inv = "L1"
+         && String.ends_with ~suffix:"listed in no group's LPDR" f.detail)
+       (check unlisted));
+  (* Tamper 5: a vnode moved to a snode other than the one its id names. *)
+  let moved_vn = List.hd (List.hd v.Runtime.View.snodes).vnodes in
+  let moved =
+    {
+      v with
+      Runtime.View.snodes =
+        List.map
+          (fun (s : Runtime.View.snode_view) ->
+            if s.sid = moved_vn.vid.Vnode_id.snode then
+              { s with vnodes = List.tl s.vnodes }
+            else if s.sid = (moved_vn.vid.Vnode_id.snode + 1) mod 4 then
+              { s with vnodes = moved_vn :: s.vnodes }
+            else s)
+          v.Runtime.View.snodes;
+    }
+  in
+  Alcotest.(check bool) "vnode hosted off its snode detected" true
+    (flags "host" moved);
+  (* Tamper 6: a routing cache larger than the armed cap. *)
+  Alcotest.(check bool) "cache over its cap detected" true
+    (flags ~route_cap:1 "cache" v);
+  (* Tamper 7: a vnode holding one partition twice — ΣQv > 1. *)
+  Alcotest.(check bool) "sum of quotas off 1 detected" true
+    (flags "quota"
+       (on_snode moved_vn.vid.Vnode_id.snode (fun s ->
+            match s.vnodes with
+            | vn :: rest ->
+                let twice = { vn with spans = List.hd vn.spans :: vn.spans } in
+                { s with vnodes = twice :: rest }
+            | [] -> s)))
 
 (* ------------------------------------------------------------------ *)
 (* Per-commit audit hook: the snode-local battery holds after every
@@ -333,7 +419,7 @@ let test_linger_transparency () =
           (fun v ->
             match
               Invariants.check_view ~space:Dht_hashspace.Space.default
-                ~pmin:8 ~vmax:4 v
+                ~pmin:8 ~vmax:4 ~route_cap:0 v
             with
             | [] -> ()
             | fs ->
@@ -354,6 +440,8 @@ let suite =
       test_healthy_view_passes;
     Alcotest.test_case "tampered views are detected" `Quick
       test_tampered_view_detected;
+    Alcotest.test_case "Runtime.audit equals check_runtime" `Quick
+      test_audit_agrees;
     Alcotest.test_case "per-commit snode audit holds" `Quick
       test_per_commit_hook;
     Alcotest.test_case "linger batching is schedule-transparent" `Slow

@@ -7,6 +7,8 @@
 module Explorer = Dht_check.Explorer
 module Scenarios = Dht_check.Scenarios
 module Schedule = Dht_check.Schedule
+module Runtime = Dht_snode.Runtime
+module Engine = Dht_event_sim.Engine
 
 (* Under `dune runtest` the cwd is the test directory (the artifact is a
    declared dep); under `dune exec` from the project root it is not. *)
@@ -90,6 +92,43 @@ let test_shrink_strips_superfluous () =
   Alcotest.(check bool) "shrunk still fails" true
     ((Explorer.run sc shrunk).Explorer.failures <> [])
 
+(* A crash of the snode coordinating a creation, landing while that
+   snode's own self-addressed message is in flight. A loopback delivery
+   dropped at the down snode would leave the event waiting forever after
+   the restart, its watchdog re-arming every round, so [Runtime.run]
+   would never return. The guard bounds the virtual time the replay may
+   take, turning such a wedge into a failure instead of a hang; it sits
+   past the end of the first run's work, so a healthy replay only sees
+   its later phases start at the guard's time. *)
+let test_loopback_crash_replays () =
+  let sc = Scenarios.kv () in
+  let horizon = 60. in
+  let guarded =
+    {
+      sc with
+      Explorer.build =
+        (fun ~seed ->
+          let rt = sc.Explorer.build ~seed in
+          Engine.schedule (Runtime.engine rt) ~delay:horizon (fun () ->
+              let pending = Runtime.pending_operations rt in
+              if pending > 0 then
+                failwith
+                  (Printf.sprintf "%d operations pending after %g s" pending
+                     horizon));
+          rt);
+    }
+  in
+  let sched =
+    {
+      Schedule.scenario = "kv";
+      seed = 107;
+      tweaks = [ Schedule.Crash { site = 74; snode = 0; down = 0.05 } ];
+    }
+  in
+  match (Explorer.run guarded sched).Explorer.failures with
+  | [] -> ()
+  | msgs -> Alcotest.failf "replay failed:@.%s" (String.concat "\n" msgs)
+
 let suite =
   [
     Alcotest.test_case "mutation-mode self-test finds the loss" `Slow
@@ -98,4 +137,6 @@ let suite =
     Alcotest.test_case "committed repro replays" `Quick test_repro_replays;
     Alcotest.test_case "shrink strips superfluous tweaks" `Quick
       test_shrink_strips_superfluous;
+    Alcotest.test_case "crash during a loopback delivery replays" `Quick
+      test_loopback_crash_replays;
   ]

@@ -161,6 +161,16 @@ let test_coverage_overlap () =
   | Ok () -> Alcotest.fail "overlap not detected"
   | Error e -> Alcotest.failf "wrong error: %a" Coverage.pp_error e
 
+(* One physical span listed twice (a partition a donor kept after
+   handing it on) is an overlap finding, not an exception. *)
+let test_coverage_duplicate () =
+  let half = Span.make sp ~level:1 ~index:0 in
+  match Coverage.check sp [ half; half; Span.make sp ~level:1 ~index:1 ] with
+  | Error (Coverage.Overlap { a; b }) ->
+      Alcotest.(check bool) "both sides named" true (a == half && b == half)
+  | Ok () -> Alcotest.fail "duplicate not detected"
+  | Error e -> Alcotest.failf "wrong error: %a" Coverage.pp_error e
+
 let test_coverage_empty () =
   match Coverage.check sp [] with
   | Error Coverage.Empty -> ()
@@ -371,6 +381,7 @@ let suite =
     Alcotest.test_case "coverage mixed levels" `Quick test_coverage_mixed_levels;
     Alcotest.test_case "coverage gap" `Quick test_coverage_gap;
     Alcotest.test_case "coverage overlap" `Quick test_coverage_overlap;
+    Alcotest.test_case "coverage duplicate span" `Quick test_coverage_duplicate;
     Alcotest.test_case "coverage empty" `Quick test_coverage_empty;
     Alcotest.test_case "point map basics" `Quick test_point_map_basics;
     Alcotest.test_case "point map rejects overlap" `Quick
